@@ -26,7 +26,7 @@ object Eta {
       var meet = 0
       var i = 0
       while (i < samplesPerNode) {
-        if (bc.value.pairWalksMeet(v.toInt, c, maxSteps, rng)) meet += 1
+        if (bc.value.pairWalksMeet(v.toInt, v.toInt, c, maxSteps, rng)) meet += 1
         i += 1
       }
       (v, 1.0 - meet.toDouble / samplesPerNode)

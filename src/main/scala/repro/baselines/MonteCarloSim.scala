@@ -3,7 +3,7 @@ package repro.baselines
 import java.util.SplittableRandom
 
 import repro.core.RandomWalks
-import repro.graph.{Graph, LocalGraph}
+import repro.graph.Graph
 
 /** Monte-Carlo SimRank estimation [5, 6]: `s(u, v)` is the probability that
   * two independent \sqrt{c}-walks from `u` and `v` meet (same node, same
@@ -12,23 +12,6 @@ import repro.graph.{Graph, LocalGraph}
   * power-method oracle and for pool-restricted ground truth.
   */
 object MonteCarloSim {
-
-  private def meets(lg: LocalGraph, u: Int, v: Int, c: Double, maxSteps: Int,
-                    rng: SplittableRandom): Boolean = {
-    val sqrtC = math.sqrt(c)
-    var a = u; var b = v
-    var step = 0
-    while (step < maxSteps) {
-      val aLive = rng.nextDouble() < sqrtC && lg.inDeg(a) > 0
-      val bLive = rng.nextDouble() < sqrtC && lg.inDeg(b) > 0
-      if (!aLive || !bLive) return false
-      a = lg.randomInNeighbor(a, rng)
-      b = lg.randomInNeighbor(b, rng)
-      step += 1
-      if (a == b) return true
-    }
-    false
-  }
 
   /** Estimate `s(u, v)` for each `v` in `vs` with `samples` walk pairs each,
     * batched as one distributed job.
@@ -45,7 +28,7 @@ object MonteCarloSim {
       var hit = 0
       var s = 0
       while (s < samples) {
-        if (meets(bc.value, u.toInt, v.toInt, c, maxSteps, rng)) hit += 1
+        if (bc.value.pairWalksMeet(u.toInt, v.toInt, c, maxSteps, rng)) hit += 1
         s += 1
       }
       (v, hit.toDouble / samples)

@@ -8,9 +8,10 @@ import repro.graph.Graph
   *
   * Conventions match the paper: `h^{(l)}(v, w)` is the probability that a
   * \sqrt{c}-walk from `v` is at `w` after `l` steps. A *forward* push from
-  * `u` flows along in-edges (walk direction) and yields `h^{(l)}(u, .)`;
-  * a *reverse* expansion from a seed `w` flows along out-edges and yields
-  * `h^{(l)}(., w)`.
+  * `u` flows along in-edges (walk direction) and yields `h^{(l)}(u, .)`; it
+  * is single-source and runs on the driver CSR ([[repro.graph.LocalGraph.push]]).
+  * A *reverse* expansion from many seeds `w` flows along out-edges and yields
+  * `h^{(l)}(., w)`; it is bulk work and stays a distributed join.
   */
 object PushOps {
 
@@ -20,29 +21,10 @@ object PushOps {
     */
   def forwardPush(g: Graph, u: Long, c: Double, maxLevel: Int,
                   prune: Double): IndexedSeq[Map[Long, Double]] = {
-    val spark = g.spark
-    import spark.implicits._
-    val sqrtC = math.sqrt(c)
+    val local = g.local
     val out   = scala.collection.mutable.ArrayBuffer[Map[Long, Double]](Map(u -> 1.0))
-    var front = Map(u -> 1.0)
-    var l     = 0
-    while (l < maxLevel && front.nonEmpty) {
-      val pushers = front.filter(_._2 >= prune)
-      front =
-        if (pushers.isEmpty) Map.empty
-        else {
-          val fDf = pushers.toSeq.toDF("fnode", "h")
-          g.edgesWithInDeg
-            .join(broadcast(fDf), col("dst") === col("fnode"))
-            .select(col("src"), (lit(sqrtC) * col("h") / col("din")).as("contrib"))
-            .groupBy("src").agg(sum("contrib").as("h"))
-            .collect()
-            .map(r => r.getLong(0) -> r.getDouble(1))
-            .toMap
-        }
-      out += front
-      l += 1
-    }
+    while (out.size <= maxLevel && out.last.nonEmpty)
+      out += local.push(out.last.filter(_._2 >= prune), c)
     out.toIndexedSeq
   }
 

@@ -27,32 +27,15 @@ object TopSim {
   def query(g: Graph, u: Long, p: Params): Map[Long, Double] = {
     val spark = g.spark
     import spark.implicits._
-    val sqrtC = math.sqrt(p.c)
     val local = g.local
 
     // Truncated forward expansion: h^{(l)}(u, .) with TopSim's pruning.
-    var front: Map[Long, Double] = Map(u -> 1.0)
-    val levels = scala.collection.mutable.ArrayBuffer[Map[Long, Double]](front)
-    var l = 0
-    while (l < p.T && front.nonEmpty) {
-      val expandable = front.filter { case (v, h) =>
-        h >= p.eta && local.inDeg(v.toInt) > 0 && local.inDeg(v.toInt) <= p.invH
+    val levels = scala.collection.mutable.ArrayBuffer[Map[Long, Double]](Map(u -> 1.0))
+    while (levels.size <= p.T && levels.last.nonEmpty) {
+      val expandable = levels.last.filter { case (v, h) =>
+        h >= p.eta && local.inDeg(v.toInt) <= p.invH
       }
-      front =
-        if (expandable.isEmpty) Map.empty
-        else {
-          val fDf = expandable.toSeq.toDF("fnode", "h")
-          val next = g.edgesWithInDeg
-            .join(broadcast(fDf), col("dst") === col("fnode"))
-            .select(col("src"), (lit(sqrtC) * col("h") / col("din")).as("contrib"))
-            .groupBy("src").agg(sum("contrib").as("h"))
-            .orderBy(col("h").desc)
-            .limit(p.H)
-            .collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
-          next
-        }
-      levels += front
-      l += 1
+      levels += local.push(expandable, p.c).toSeq.sortBy { case (v, h) => (-h, v) }.take(p.H).toMap
     }
 
     // Reverse pass from the retained (level, w) meeting candidates; no

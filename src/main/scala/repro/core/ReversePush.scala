@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.functions._
 import repro.graph.Graph
 
 /** Stage 3 of SimPush (Section 4.3, Algorithm 5): push the residues
@@ -11,7 +10,8 @@ import repro.graph.Graph
   *
   * Residues aggregated at the same node and level are combined and pushed
   * together; a residue is pushed only if `sqrt(c) * r >= epsH` (line 4),
-  * which bounds the work by O(m log(1/eps)) (Lemma 7).
+  * which bounds the work by O(m log(1/eps)) (Lemma 7). Each level is one
+  * transposed [[repro.graph.LocalGraph.push]] on the driver CSR.
   */
 object ReversePush {
 
@@ -22,42 +22,21 @@ object ReversePush {
     */
   def run(g: Graph, residues: Map[(Int, Long), Double], L: Int, c: Double,
           epsH: Double): Map[Long, Double] = {
-    val spark = g.spark
-    import spark.implicits._
+    val local  = g.local
     val sqrtC  = math.sqrt(c)
-    val scores = scala.collection.mutable.Map.empty[Long, Double]
-
+    def seeded(l: Int): Map[Long, Double] = residues.collect { case ((lv, w), r) if lv == l => w -> r }
+    // state: the residues at `level`, pushed one level down per iteration;
+    // what reaches level 0 is the score.
+    var state = seeded(L)
     var level = L
-    var state: Map[Long, Double] =
-      residues.collect { case ((l, w), r) if l == L => w -> r }.toMap
     while (level >= 1) {
-      val pushers = state.filter { case (_, r) => sqrtC * r >= epsH }
-      val pushed: Map[Long, Double] =
-        if (pushers.isEmpty) Map.empty
-        else {
-          val pDf = pushers.toSeq.toDF("pnode", "r")
-          // r flows from v' to each out-neighbor v with weight sqrt(c)/din(v).
-          g.edgesWithInDeg
-            .join(broadcast(pDf), col("src") === col("pnode"))
-            .select(col("dst"), (lit(sqrtC) * col("r") / col("din")).as("contrib"))
-            .groupBy("dst")
-            .agg(sum("contrib").as("r"))
-            .collect()
-            .map(row => row.getLong(0) -> row.getDouble(1))
-            .toMap
-        }
-      if (level - 1 >= 1) {
-        // Combine with the initial residues seeded at the next level down.
-        val seeded = residues.collect { case ((l, w), r) if l == level - 1 => w -> r }
-        state = (pushed.keySet ++ seeded.keySet).iterator.map { v =>
-          v -> (pushed.getOrElse(v, 0.0) + seeded.toMap.getOrElse(v, 0.0))
-        }.toMap
-      } else {
-        pushed.foreach { case (v, r) => scores.update(v, scores.getOrElse(v, 0.0) + r) }
-        state = Map.empty
+      // r flows from v' to each out-neighbor v with weight sqrt(c)/din(v).
+      val pushed = local.push(state.filter { case (_, r) => sqrtC * r >= epsH }, c, transpose = true)
+      state = seeded(level - 1).foldLeft(pushed) { case (acc, (v, r)) =>
+        acc.updated(v, acc.getOrElse(v, 0.0) + r)
       }
       level -= 1
     }
-    scores.toMap
+    state
   }
 }

@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.graph.Graph
 
 /** Parameters of a SimPush query (Definition 1 + Algorithm 1).
@@ -19,6 +18,9 @@ final case class SimPushParams(
     maxWalks: Long = 2_000_000L,
     seed: Long = 42L,
 ) {
+  require(eps > 0, s"eps must be > 0, got $eps")
+  require(delta > 0 && delta < 1, s"delta must be in (0, 1), got $delta")
+  require(c > 0 && c < 1, s"c must be in (0, 1), got $c")
   val epsH: Double = SourcePush.epsH(eps, c)
   val lStar: Int   = SourcePush.maxLevelBound(epsH, c)
 }
@@ -38,15 +40,16 @@ final case class SimPushResult(
 
 /** SimPush (Algorithm 1): index-free approximate single-source SimRank.
   *
-  * Stage 1 (Source-Push) and stage 3 (Reverse-Push) are distributed,
-  * join-based level propagations over the full edge DataFrame; stage 2
-  * operates on the tiny per-query source graph `G_u` on the driver —
-  * mirroring the paper's separation between O(m)-per-level full-graph work
-  * and O(1/eps)-sized attention-node work.
+  * Stage 1 (Source-Push) detects L with one distributed walk job and then,
+  * like stage 3 (Reverse-Push), propagates level by level over the driver
+  * CSR ([[repro.graph.LocalGraph.push]]); stage 2 operates on the tiny
+  * per-query source graph `G_u` — mirroring the paper's separation between
+  * O(m)-per-level full-graph work and O(1/eps)-sized attention-node work.
   */
 object SimPush {
 
   def singleSource(g: Graph, u: Long, p: SimPushParams): SimPushResult = {
+    require(u >= 0 && u < g.numNodes, s"query node $u is not in [0, ${g.numNodes})")
     val t0 = System.nanoTime()
     val sg = SourcePush.run(g, u, p.c, p.epsH, p.delta, p.maxWalks, p.seed)
     val scores: Map[Long, Double] =
@@ -58,11 +61,5 @@ object SimPush {
     val withSelf = scores - u + (u -> 1.0) // Algorithm 5, line 10
     val millis   = (System.nanoTime() - t0) / 1000000
     SimPushResult(u, withSelf, sg.L, sg.attentionCount, sg.numEdges, millis)
-  }
-
-  /** DataFrame view of a result — for jobs and Oracle-style comparisons. */
-  def toDF(spark: SparkSession, r: SimPushResult): DataFrame = {
-    import spark.implicits._
-    r.scores.toSeq.toDF("node", "simrank")
   }
 }

@@ -3,11 +3,10 @@ package repro.core
 import org.apache.spark.sql.functions._
 import repro.graph.Graph
 
-/** The source graph `G_u` produced by Source-Push (Algorithm 2), collected to
-  * the driver. `G_u` is the per-query working set of SimPush: by Lemma 2 it
-  * holds O(1/eps) attention nodes within L <= L* levels, so the later stages
-  * (Algorithms 3 and 4) run on this small structure while the full-graph
-  * stages stay distributed.
+/** The source graph `G_u` produced by Source-Push (Algorithm 2). `G_u` is
+  * the per-query working set of SimPush: by Lemma 2 it holds O(1/eps)
+  * attention nodes within L <= L* levels, so the later stages (Algorithms 3
+  * and 4) run on this small structure instead of the full graph.
   *
   * @param h         `h(l)(node)` = hitting probability `h^{(l)}(u, node)`,
   *                  for levels 0..L (exact, from exhaustive propagation)
@@ -35,8 +34,9 @@ final case class SourceGraph(
 }
 
 /** Stage 1 of SimPush (Section 4.1): detect the max level L by Monte-Carlo
-  * walk sampling, then propagate hitting probabilities from the query node
-  * level by level over the full graph, recording `G_u` along the way.
+  * walk sampling (a Spark job), then propagate hitting probabilities from
+  * the query node level by level with [[repro.graph.LocalGraph.push]] on
+  * the driver CSR, recording `G_u` along the way.
   */
 object SourcePush {
 
@@ -70,7 +70,6 @@ object SourcePush {
     */
   def run(g: Graph, u: Long, c: Double, epsHv: Double, delta: Double,
           maxWalks: Long = 2_000_000L, seed: Long = 42L): SourceGraph = {
-    val spark = g.spark
     val lStar = maxLevelBound(epsHv, c)
 
     // --- Monte-Carlo level detection (Algorithm 2, lines 1-8) ---
@@ -84,28 +83,16 @@ object SourcePush {
     val L = math.min(lDetected, lStar)
 
     // --- Exhaustive residue propagation (Algorithm 2, lines 9-21) ---
+    val local     = g.local
     val hLevels   = scala.collection.mutable.ArrayBuffer[Map[Long, Double]](Map(u -> 1.0))
     val downEdges = scala.collection.mutable.ArrayBuffer[Array[(Long, Long)]]()
-    val sqrtC     = math.sqrt(c)
-    var frontier  = Map(u -> 1.0)
-    var l = 0
-    while (l < L && frontier.nonEmpty) {
-      import spark.implicits._
-      val fDf = frontier.toSeq.toDF("fnode", "h")
-      // Push h^{(l)}(u, v) to every in-neighbor v' of v: contribution
-      // sqrt(c) * h / din(v). The joined rows are exactly the G_u edges
-      // between levels l+1 and l.
-      val joined = g.edgesWithInDeg
-        .join(broadcast(fDf), col("dst") === col("fnode"))
-        .select(col("src"), col("dst"), (lit(sqrtC) * col("h") / col("din")).as("contrib"))
-        .cache()
-      val nextRows = joined.groupBy("src").agg(sum("contrib").as("h")).collect()
-      val edgeRows = joined.select("src", "dst").distinct().collect()
-      joined.unpersist()
-      downEdges += edgeRows.map(r => (r.getLong(0), r.getLong(1)))
-      frontier = nextRows.map(r => r.getLong(0) -> r.getDouble(1)).toMap
-      hLevels += frontier
-      l += 1
+    while (hLevels.size <= L && hLevels.last.nonEmpty) {
+      val frontier = hLevels.last
+      // Every frontier node is expanded, so its in-edges are exactly the G_u
+      // edges into this level from the next one.
+      downEdges += frontier.keysIterator
+        .flatMap(v => local.inNeighbors(v.toInt).map(x => (x.toLong, v))).toArray
+      hLevels += local.push(frontier, c)
     }
     val actualL = hLevels.size - 1 // may be < L if the frontier died out
 

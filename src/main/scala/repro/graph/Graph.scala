@@ -4,8 +4,9 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
 /** A directed graph as a DataFrame of distinct edges `(src, dst)` with node
-  * ids dense in `[0, numNodes)`. Every level-wise push in this repo joins a
-  * (small) frontier against [[edgesWithInDeg]], which is the Catalyst-side
+  * ids dense in `[0, numNodes)`. Single-source level pushes run on the
+  * driver CSR copy [[local]]; the distributed, multi-seed work (index builds,
+  * ProbeSim probes) joins against [[edgesWithInDeg]], the Catalyst-side
   * representation of the transition structure used by \sqrt{c}-walks.
   */
 final class Graph(
@@ -36,10 +37,12 @@ final class Graph(
       .cache()
   }
 
-  /** Driver-side CSR copy, broadcast to executors for walk simulation.
-    * Materialized lazily; the graphs in this repro fit comfortably.
+  /** Driver-side CSR copy: runs the single-source pushes and is broadcast
+    * to executors for walk simulation. Materialized lazily; the graphs in
+    * this repro fit comfortably. Its ids are `Int`, so `numNodes` must be too.
     */
   lazy val local: LocalGraph = {
+    require(numNodes <= Int.MaxValue, s"numNodes = $numNodes does not fit the Int ids of LocalGraph")
     val es = edges.select(col("src").cast("int"), col("dst").cast("int"))
       .collect()
       .map(r => (r.getInt(0), r.getInt(1)))

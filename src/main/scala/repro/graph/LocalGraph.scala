@@ -2,9 +2,12 @@ package repro.graph
 
 import java.util.SplittableRandom
 
-/** Compact CSR copy of a directed graph, broadcast to executors for
-  * embarrassingly-parallel random-walk simulation, and used on the driver
-  * for exact reference computations on small graphs.
+import scala.collection.mutable
+
+/** Compact CSR copy of a directed graph. On the driver it runs every
+  * single-source level push ([[push]]: Source-Push, Reverse-Push and the
+  * baselines' forward pushes) and the exact reference computations; it is
+  * broadcast to executors for embarrassingly-parallel random-walk simulation.
   *
   * Node ids must be dense in `[0, n)`. Edges are directed `src -> dst`;
   * a \sqrt{c}-walk moves from a node to a uniformly random *in*-neighbor.
@@ -62,13 +65,42 @@ final class LocalGraph(
     buf.toArray
   }
 
-  /** Simulate two independent \sqrt{c}-walks from `start` and report whether
-    * they ever meet (same node at the same step `>= 1`). Used to estimate the
-    * last-meeting probability eta(w) = Pr[never meet] of SLING/PRSim.
+  /** Push a sparse frontier one level (one step of the \sqrt{c}-walk
+    * transition or of its transpose).
+    *
+    * Along in-edges (`transpose = false`, the walk direction) the mass
+    * `m(v)` moves to every in-neighbor `x` of `v` as `sqrt(c) * m(v) / din(v)`:
+    * from `h^{(l)}(u, .)` this gives `h^{(l+1)}(u, .)`. Along out-edges
+    * (`transpose = true`) it moves to every out-neighbor `y` of `v` as
+    * `sqrt(c) * m(v) / din(y)`: from `h^{(l)}(., w)` this gives
+    * `h^{(l+1)}(., w)`. A node that receives no mass is absent from the
+    * result; thresholds are the caller's, applied to `frontier`.
     */
-  def pairWalksMeet(start: Int, c: Double, maxSteps: Int, rng: SplittableRandom): Boolean = {
+  def push(frontier: Map[Long, Double], c: Double, transpose: Boolean = false): Map[Long, Double] = {
     val sqrtC = math.sqrt(c)
-    var a = start; var b = start
+    val (off, adj) = if (transpose) (outOff, outAdj) else (inOff, inAdj)
+    val next = mutable.HashMap.empty[Long, Double]
+    frontier.foreach { case (node, mass) =>
+      val v = node.toInt
+      var i = off(v)
+      while (i < off(v + 1)) {
+        val y = adj(i)
+        val w = sqrtC * mass / inDeg(if (transpose) y else v)
+        next.update(y.toLong, next.getOrElse(y.toLong, 0.0) + w)
+        i += 1
+      }
+    }
+    next.toMap
+  }
+
+  /** Simulate two independent \sqrt{c}-walks from `u` and `v` and report
+    * whether they ever meet (same node at the same step `>= 1`). With
+    * `u == v` this estimates the last-meeting probability eta(w) = Pr[never
+    * meet] of SLING/PRSim; with `u != v`, Monte-Carlo SimRank `s(u, v)`.
+    */
+  def pairWalksMeet(u: Int, v: Int, c: Double, maxSteps: Int, rng: SplittableRandom): Boolean = {
+    val sqrtC = math.sqrt(c)
+    var a = u; var b = v
     var step = 0
     while (step < maxSteps) {
       // advance both; either may die this step

@@ -2,6 +2,7 @@ package repro.core
 
 import repro.{SparkSpec, TestGraphs, TestRefs}
 import repro.eval.{ExactSimRank, Metrics}
+import repro.graph.Graph
 
 /** End-to-end SimPush against exact SimRank — the Theorem 1 guarantee
   * `s(u,v) - \tilde s(u,v) <= eps` plus the one-sided underestimation that
@@ -80,6 +81,19 @@ class SimPushSpec extends SparkSpec {
     val a = SimPush.singleSource(g, u, SimPushParams(0.1, seed = 3))
     val b = SimPush.singleSource(g, u, SimPushParams(0.1, seed = 3))
     assert(a.scores == b.scores && a.L == b.L)
+  }
+
+  test("invalid parameters, query nodes and graph sizes fail fast") {
+    Seq[() => Any](
+      () => SimPushParams(0.0), () => SimPushParams(-0.1),
+      () => SimPushParams(0.1, delta = 0.0), () => SimPushParams(0.1, delta = 1.0),
+      () => SimPushParams(0.1, c = 0.0), () => SimPushParams(0.1, c = 1.0),
+    ).foreach(mk => assertThrows[IllegalArgumentException](mk()))
+    val g = TestGraphs.all(spark).toMap.apply("toy")
+    assertThrows[IllegalArgumentException](SimPush.singleSource(g, -1, SimPushParams(0.2)))
+    assertThrows[IllegalArgumentException](SimPush.singleSource(g, g.numNodes, SimPushParams(0.2)))
+    val huge = Graph.fromEdgeList(spark, Int.MaxValue.toLong + 1, Seq((0L, 1L)))
+    assertThrows[IllegalArgumentException](huge.local)
   }
 
   test("reported internals are consistent") {

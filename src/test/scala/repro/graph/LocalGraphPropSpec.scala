@@ -2,11 +2,15 @@ package repro.graph
 
 import java.util.SplittableRandom
 
+import org.scalacheck.{Gen, Prop, Test => QC}
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestRefs
 
 /** Randomized property tests for the CSR substrate — pure JVM, no Spark.
   * Each seed generates a random edge list and cross-checks every CSR
-  * accessor against a naive adjacency-map model.
+  * accessor against a naive adjacency-map model; scalacheck properties
+  * check the level-push kernel against the hitting DP and its transpose.
   */
 class LocalGraphPropSpec extends AnyFunSuite {
 
@@ -16,6 +20,47 @@ class LocalGraphPropSpec extends AnyFunSuite {
     val m   = rng.nextInt(4 * n)
     val es  = (0 until m).map(_ => (rng.nextInt(n), rng.nextInt(n)))
     (n, es)
+  }
+
+  private val c = 0.6
+
+  private val graphs: Gen[LocalGraph] =
+    Gen.choose(1, 100000).map { seed => val (n, es) = randomEdges(seed); LocalGraph.fromEdges(n, es) }
+
+  /** A sparse nonnegative vector over `[0, n)`. */
+  private def sparse(n: Int): Gen[Map[Long, Double]] =
+    Gen.listOf(Gen.zip(Gen.choose(0, n - 1), Gen.choose(0.0, 1.0))).map(_.map { case (v, x) => v.toLong -> x }.toMap)
+
+  private def check(p: Prop): Unit = {
+    val r = QC.check(QC.Parameters.default.withMinSuccessfulTests(200).withInitialSeed(Seed(7L)), p)
+    assert(r.passed, r.status.toString)
+  }
+
+  private def dot(x: Map[Long, Double], y: Map[Long, Double]): Double =
+    x.iterator.map { case (k, v) => v * y.getOrElse(k, 0.0) }.sum
+
+  test("push of a point mass along in-edges equals level 1 of the hitting DP") {
+    check(Prop.forAll(graphs.flatMap(lg => Gen.choose(0, lg.n - 1).map(lg -> _))) { case (lg, u) =>
+      val got = lg.push(Map(u.toLong -> 1.0), c)
+      val dp  = TestRefs.hittingDP(lg, u, c, 1)(1)
+      got.keySet == (0 until lg.n).filter(dp(_) > 0).map(_.toLong).toSet &&
+        (0 until lg.n).forall(v => math.abs(got.getOrElse(v.toLong, 0.0) - dp(v)) <= 1e-12)
+    })
+  }
+
+  test("push along out-edges is the adjoint of push along in-edges") {
+    check(Prop.forAll(graphs.flatMap(lg => Gen.zip(sparse(lg.n), sparse(lg.n)).map(ab => (lg, ab._1, ab._2)))) {
+      case (lg, a, b) => math.abs(dot(lg.push(a, c), b) - dot(a, lg.push(b, c, transpose = true))) <= 1e-12
+    })
+  }
+
+  test("a frontier node with no in-neighbors contributes nothing to the in-edge push") {
+    check(Prop.forAll(graphs.flatMap(lg => sparse(lg.n).map(lg -> _))) { case (lg, a) =>
+      val (dead, live) = a.partition { case (v, _) => lg.inDeg(v.toInt) == 0 }
+      val all = lg.push(a, c); val liveOnly = lg.push(live, c)
+      dead.forall(kv => lg.push(Map(kv), c).isEmpty) && all.keySet == liveOnly.keySet &&
+        all.forall { case (v, x) => math.abs(x - liveOnly(v)) <= 1e-12 }
+    })
   }
 
   for (seed <- 1 to 12) {
@@ -76,7 +121,7 @@ class LocalGraphPropSpec extends AnyFunSuite {
   test("pairWalksMeet never reports a meeting when the start has no in-edges") {
     val lg  = LocalGraph.fromEdges(3, Seq((0, 1), (1, 2)))
     val rng = new SplittableRandom(1)
-    (0 until 200).foreach(_ => assert(!lg.pairWalksMeet(0, 0.6, 10, rng)))
+    (0 until 200).foreach(_ => assert(!lg.pairWalksMeet(0, 0, 0.6, 10, rng)))
   }
 
   test("pairWalksMeet always meets on a self-referential pair graph") {
@@ -84,7 +129,7 @@ class LocalGraphPropSpec extends AnyFunSuite {
     // meeting probability is c per step pair, so over many trials some meet.
     val lg  = LocalGraph.fromEdges(2, Seq((1, 0), (0, 1)))
     val rng = new SplittableRandom(2)
-    val meets = (0 until 2000).count(_ => lg.pairWalksMeet(0, 0.6, 30, rng))
+    val meets = (0 until 2000).count(_ => lg.pairWalksMeet(0, 0, 0.6, 30, rng))
     // exact meet probability: both survive & land on 1: geometric with p=c
     // summed: c + (c... here each step both at same node, so P(meet) = c/(1) ...
     // empirically it must be close to c/(2-c) = 0.6/1.4 if walks continue... just
