@@ -19,7 +19,7 @@ object Eta {
                seed: Long): DataFrame = {
     val spark = g.spark
     import spark.implicits._
-    val bc = spark.sparkContext.broadcast(g.local)
+    val bc = g.localBroadcast
     val n  = g.numNodes
     spark.range(n).as[Long].map { v =>
       val rng  = new SplittableRandom(RandomWalks.mix(seed, v))

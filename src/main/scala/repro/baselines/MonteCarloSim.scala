@@ -20,7 +20,7 @@ object MonteCarloSim {
                    maxSteps: Int = 40, seed: Long = 53L): Map[Long, Double] = {
     val spark = g.spark
     import spark.implicits._
-    val bc  = spark.sparkContext.broadcast(g.local)
+    val bc  = g.localBroadcast
     val vsB = spark.sparkContext.broadcast(vs.toArray)
     spark.range(vs.size.toLong).as[Long].map { i =>
       val v   = vsB.value(i.toInt)

@@ -28,10 +28,6 @@ object ProbeSim {
   final case class Params(numWalks: Int, prune: Double = 1e-5, c: Double = 0.6,
                           maxSteps: Int = 15, seed: Long = 29L)
 
-  /** Walk budget for error `eps` and failure probability `delta`, capped. */
-  def walksFor(eps: Double, delta: Double, n: Long, cap: Int = 5000): Int =
-    math.min(cap, math.ceil(math.log(n / delta) / (eps * eps) / 4.0).toInt).max(16)
-
   def query(g: Graph, u: Long, p: Params): Map[Long, Double] = {
     val spark = g.spark
     import spark.implicits._

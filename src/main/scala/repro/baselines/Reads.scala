@@ -25,7 +25,7 @@ object Reads {
     val spark = g.spark
     import spark.implicits._
     val t0 = System.nanoTime()
-    val bc = spark.sparkContext.broadcast(g.local)
+    val bc = g.localBroadcast
     val n  = g.numNodes
     val walks = spark.range(n * r).as[Long].flatMap { id =>
       val v    = (id / r).toInt

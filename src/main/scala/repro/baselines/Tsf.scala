@@ -30,7 +30,7 @@ object Tsf {
     val spark = g.spark
     import spark.implicits._
     val t0 = System.nanoTime()
-    val bc = spark.sparkContext.broadcast(g.local)
+    val bc = g.localBroadcast
     val n  = g.numNodes
     val positions = spark.range(n * rg).as[Long].flatMap { id =>
       val v   = (id / rg).toInt

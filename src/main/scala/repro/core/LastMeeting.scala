@@ -1,65 +1,68 @@
 package repro.core
 
-import scala.collection.mutable
-
 import repro.graph.LocalGraph
 
 /** Stage 2 of SimPush (Section 4.2): hitting probabilities between attention
   * nodes *within* `G_u` (Algorithm 3) and the last-meeting probabilities
   * `gamma^{(l)}(w)` (Algorithm 4).
   *
-  * Both run on the driver: `G_u` is the deliberately small per-query working
-  * set (O(1/eps) attention nodes, Lemma 2), and the paper's own design point
-  * is that this stage avoids any traversal of the full graph.
+  * Both run on the driver over one dense `|A| x |A|` matrix of the O(1/eps)
+  * attention nodes (Lemma 2), indexed by [[attentionIndex]]; the implicit
+  * `G_u` edges (see [[SourceGraph]]) are read from the CSR.
   */
 object LastMeeting {
 
   /** Key = (absolute level in G_u, node id). */
   type LevelNode = (Int, Long)
 
+  /** The attention nodes in level order, each level in its `keysIterator`
+    * order: the row and column order of [[hittingProbs]].
+    */
+  def attentionIndex(sg: SourceGraph): IndexedSeq[LevelNode] =
+    (1 to sg.L).flatMap(l => sg.attention(l).keysIterator.map(w => (l, w)))
+
+  /** `first(l)` = index of the first level-`l` attention node, for levels
+    * 0..L+1; `first(L + 1)` is the attention count.
+    */
+  private def levelStarts(sg: SourceGraph): Array[Int] =
+    (0 to sg.L).scanLeft(0)((n, l) => n + sg.attention(l).size).toArray
+
   /** Hitting probabilities within G_u (Algorithm 3, via Equation 12).
     *
-    * Returns `hp(l)(node)` = map from attention target `(l + i, w_i)` to
-    * `\tilde h^{(i)}(node, w_i)` — the probability that a \sqrt{c}-walk from
-    * `node` (at level `l` of G_u, walking within G_u) visits attention node
-    * `w_i` at its `i`-th step. Entries exist for all G_u nodes (attention or
-    * not) that can reach an attention node; the self entry `(l, w) -> 1` is
-    * included for every attention node `w`.
+    * Returns `hp(a)(b)` = `\tilde h^{(i)}(w_a, w_b)` for attention nodes
+    * `a = (l, w_a)` and `b = (l + i, w_b)` of [[attentionIndex]]: the
+    * probability that a \sqrt{c}-walk from `w_a` (at level `l` of G_u,
+    * walking within G_u) visits `w_b` at its `i`-th step. `hp(a)(a) = 1`;
+    * entries for targets on the same or a shallower level are 0.
+    *
+    * The sweep goes from level L up to level 1 and keeps the rows of one
+    * level: a frontier node's row is the sum of its in-neighbours' rows one
+    * level deeper, scaled by `sqrt(c) / din` (its in-degree in G equals the
+    * one in G_u, Section 4.1). Only nodes that reach an attention node get
+    * a row.
     */
-  def hittingProbs(sg: SourceGraph, c: Double, local: LocalGraph): IndexedSeq[mutable.Map[Long, mutable.Map[LevelNode, Double]]] = {
+  def hittingProbs(sg: SourceGraph, c: Double, local: LocalGraph): Array[Array[Double]] = {
     val sqrtC = math.sqrt(c)
-    val L     = sg.L
-    val hp    = IndexedSeq.fill(L + 1)(mutable.Map.empty[Long, mutable.Map[LevelNode, Double]])
-
-    def mapOf(lvl: Int, node: Long): mutable.Map[LevelNode, Double] =
-      hp(lvl).getOrElseUpdate(node, mutable.Map.empty)
-
-    // Sweep from the deepest level toward level 1 (Algorithm 3: l = L..2).
-    var l = L
-    while (l >= 2) {
-      // Self entries for attention nodes at this level.
-      sg.attention(l).keysIterator.foreach { w => mapOf(l, w).update((l, w), 1.0) }
-      // Push every node's accumulated probabilities one level down along the
-      // G_u edges (level l -> level l-1). The receiver's in-degree in G
-      // equals its in-degree in G_u for expanded nodes (Section 4.1).
-      val down = sg.downEdges(l - 1) // (upNode at level l, downNode at level l-1)
-      down.foreach { case (up, downNode) =>
-        hp(l).get(up).foreach { entries =>
-          val factor = sqrtC / local.inDeg(downNode.toInt)
-          val tgt    = mapOf(l - 1, downNode)
-          entries.foreach { case (key, v) =>
-            tgt.update(key, tgt.getOrElse(key, 0.0) + factor * v)
-          }
+    val first = levelStarts(sg)
+    val k     = first(sg.L + 1)
+    val hp    = new Array[Array[Double]](k)
+    var up    = Map.empty[Long, Array[Double]] // rows of level l + 1
+    for (l <- sg.L to 1 by -1) {
+      val deeper = first(l + 1)
+      val pulled = if (up.isEmpty) Map.empty[Long, Array[Double]] else sg.h(l).keysIterator.flatMap { x =>
+        val ins = local.inNeighbors(x.toInt).flatMap(y => up.get(y.toLong))
+        Option.when(ins.nonEmpty) {
+          val f   = sqrtC / local.inDeg(x.toInt)
+          val row = new Array[Double](k)
+          ins.foreach { r => var b = deeper; while (b < k) { row(b) += f * r(b); b += 1 } }
+          x -> row
         }
-      }
-      l -= 1
-    }
-    // Self entries for level-1 (and level-L when L==1) attention nodes that
-    // the sweep above did not touch. They carry no deeper info but make the
-    // map total over attention nodes.
-    (1 to L).foreach { lvl =>
-      sg.attention(lvl).keysIterator.foreach { w =>
-        val m0 = mapOf(lvl, w); if (!m0.contains((lvl, w))) m0.update((lvl, w), 1.0)
+      }.toMap
+      up = sg.attention(l).keysIterator.zipWithIndex.foldLeft(pulled) { case (rows, (w, i)) =>
+        val row = rows.getOrElse(w, new Array[Double](k))
+        row(first(l) + i) = 1.0
+        hp(first(l) + i) = row
+        rows.updated(w, row)
       }
     }
     hp
@@ -68,42 +71,30 @@ object LastMeeting {
   /** Last-meeting probabilities `gamma^{(l)}(w)` for every attention node
     * (Algorithm 4, via Equations 9-11), given Algorithm 3's output.
     */
-  def gammas(sg: SourceGraph, hp: IndexedSeq[mutable.Map[Long, mutable.Map[LevelNode, Double]]]): Map[LevelNode, Double] = {
-    val L   = sg.L
-    val out = mutable.Map.empty[LevelNode, Double]
-    for (l <- 1 to L; w <- sg.attention(l).keysIterator) {
-      val deltaL = L - l
-      val hw     = hp(l).getOrElse(w, mutable.Map.empty) // \tilde h^{(i)}(w, .)
-      // rho(i)(w_i), computed level by level (Equations 10 and 11).
-      val rho = mutable.Map.empty[LevelNode, Double]
-      var gamma = 1.0
-      var i = 1
-      while (i <= deltaL) {
-        val lvlI = l + i
-        sg.attention(lvlI).keysIterator.foreach { wi =>
-          val hti = hw.getOrElse((lvlI, wi), 0.0)
-          if (hti > 0.0 || rho.nonEmpty) {
-            var r = hti * hti
-            var j = 1
-            while (j < i) {
-              val lvlJ = l + j
-              sg.attention(lvlJ).keysIterator.foreach { wj =>
-                val rj = rho.getOrElse((lvlJ, wj), 0.0)
-                if (rj > 0.0) {
-                  val hji = hp(lvlJ).get(wj).flatMap(_.get((lvlI, wi))).getOrElse(0.0)
-                  r -= rj * hji * hji
-                }
-              }
-              j += 1
-            }
-            if (r > 0.0) { rho.update((lvlI, wi), r); gamma -= r }
-          }
+  def gammas(sg: SourceGraph, hp: Array[Array[Double]]): Map[LevelNode, Double] = {
+    val index = attentionIndex(sg)
+    val first = levelStarts(sg)
+    val k     = index.size
+    index.indices.map { a =>
+      val (l, w) = index(a)
+      val hw     = hp(a) // \tilde h^{(i)}(w, .)
+      // rho(b) = rho^{(i)}(w_b), computed level by level (Equations 10 and 11).
+      val rho    = new Array[Double](k)
+      var gamma  = 1.0
+      var b      = first(l + 1)
+      while (b < k) {
+        var r   = hw(b) * hw(b)
+        var j   = first(l + 1)
+        val end = first(index(b)._1) // attention nodes strictly between l and b's level
+        while (j < end) {
+          if (rho(j) > 0.0) { val hjb = hp(j)(b); r -= rho(j) * hjb * hjb }
+          j += 1
         }
-        i += 1
+        if (r > 0.0) { rho(b) = r; gamma -= r }
+        b += 1
       }
-      out.update((l, w), math.max(0.0, math.min(1.0, gamma)))
-    }
-    out.toMap
+      (l, w) -> math.max(0.0, math.min(1.0, gamma))
+    }.toMap
   }
 
   /** Convenience: run both algorithms and return the per-attention-node

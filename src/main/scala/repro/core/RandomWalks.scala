@@ -30,7 +30,7 @@ object RandomWalks {
                  maxSteps: Int, seed: Long): DataFrame = {
     val spark = g.spark
     import spark.implicits._
-    val bc = spark.sparkContext.broadcast(g.local)
+    val bc = g.localBroadcast
     val s  = start.toInt
     spark.range(numWalks).as[Long].flatMap { id =>
       val rng  = new SplittableRandom(mix(seed, id))

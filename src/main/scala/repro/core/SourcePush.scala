@@ -8,12 +8,14 @@ import repro.graph.Graph
   * attention nodes within L <= L* levels, so the later stages (Algorithms 3
   * and 4) run on this small structure instead of the full graph.
   *
+  * `G_u`'s edges are implicit: every node of levels 0..L-1 is expanded, so
+  * the paper's "incoming edges from the (l+1)-th level to the l-th level"
+  * are exactly the full-graph in-edges of the keys of `h(l)`.
+  *
   * @param h         `h(l)(node)` = hitting probability `h^{(l)}(u, node)`,
   *                  for levels 0..L (exact, from exhaustive propagation)
-  * @param downEdges index `l` in 0..L-1 holds the `G_u` edges from level
-  *                  `l+1` nodes to level `l` nodes, as `(upNode, downNode)` —
-  *                  the paper's "incoming edges from the (l+1)-th level to
-  *                  the l-th level"
+  * @param numEdges  number of `G_u` edges: the in-degree sum over the keys
+  *                  of levels 0..L-1
   * @param attention `attention(l)` = nodes with `h^{(l)}(u, .) >= epsH`,
   *                  levels 1..L (level 0 unused)
   */
@@ -22,21 +24,16 @@ final case class SourceGraph(
     L: Int,
     numWalks: Long,
     h: IndexedSeq[Map[Long, Double]],
-    downEdges: IndexedSeq[Array[(Long, Long)]],
+    numEdges: Long,
     attention: IndexedSeq[Map[Long, Double]],
 ) {
   def attentionCount: Int = attention.map(_.size).sum
-
-  /** Distinct (level, node) pairs in G_u. */
-  def numLevelNodes: Long = h.map(_.size.toLong).sum
-
-  def numEdges: Long = downEdges.map(_.length.toLong).sum
 }
 
 /** Stage 1 of SimPush (Section 4.1): detect the max level L by Monte-Carlo
   * walk sampling (a Spark job), then propagate hitting probabilities from
   * the query node level by level with [[repro.graph.LocalGraph.push]] on
-  * the driver CSR, recording `G_u` along the way.
+  * the driver CSR.
   */
 object SourcePush {
 
@@ -85,13 +82,12 @@ object SourcePush {
     // --- Exhaustive residue propagation (Algorithm 2, lines 9-21) ---
     val local     = g.local
     val hLevels   = scala.collection.mutable.ArrayBuffer[Map[Long, Double]](Map(u -> 1.0))
-    val downEdges = scala.collection.mutable.ArrayBuffer[Array[(Long, Long)]]()
+    var numEdges  = 0L
     while (hLevels.size <= L && hLevels.last.nonEmpty) {
       val frontier = hLevels.last
       // Every frontier node is expanded, so its in-edges are exactly the G_u
       // edges into this level from the next one.
-      downEdges += frontier.keysIterator
-        .flatMap(v => local.inNeighbors(v.toInt).map(x => (x.toLong, v))).toArray
+      numEdges += frontier.keysIterator.map(v => local.inDeg(v.toInt).toLong).sum
       hLevels += local.push(frontier, c)
     }
     val actualL = hLevels.size - 1 // may be < L if the frontier died out
@@ -101,7 +97,6 @@ object SourcePush {
       else hm.filter { case (_, hv) => hv >= epsHv }
     }
 
-    SourceGraph(u, actualL, numWalks, hLevels.toIndexedSeq, downEdges.toIndexedSeq,
-      attention.toIndexedSeq)
+    SourceGraph(u, actualL, numWalks, hLevels.toIndexedSeq, numEdges, attention.toIndexedSeq)
   }
 }

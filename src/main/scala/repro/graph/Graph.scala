@@ -1,5 +1,6 @@
 package repro.graph
 
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
@@ -37,9 +38,10 @@ final class Graph(
       .cache()
   }
 
-  /** Driver-side CSR copy: runs the single-source pushes and is broadcast
-    * to executors for walk simulation. Materialized lazily; the graphs in
-    * this repro fit comfortably. Its ids are `Int`, so `numNodes` must be too.
+  /** Driver-side CSR copy: runs the single-source pushes and, as
+    * [[localBroadcast]], the executors' walk simulation. Materialized
+    * lazily; the graphs in this repro fit comfortably. Its ids are `Int`, so
+    * `numNodes` must be too.
     */
   lazy val local: LocalGraph = {
     require(numNodes <= Int.MaxValue, s"numNodes = $numNodes does not fit the Int ids of LocalGraph")
@@ -48,6 +50,12 @@ final class Graph(
       .map(r => (r.getInt(0), r.getInt(1)))
     LocalGraph.fromEdges(numNodes.toInt, es)
   }
+
+  /** [[local]] broadcast to executors for the walk jobs, once per graph.
+    * Bind it to a local val before a closure, so that tasks never serialize
+    * the `Graph` itself.
+    */
+  @transient lazy val localBroadcast: Broadcast[LocalGraph] = spark.sparkContext.broadcast(local)
 
   /** Force-materialize the cached degree views (used before timing queries). */
   def warm(): Unit = { inDeg.count(); outDeg.count(); edgesWithInDeg.count(); local; () }

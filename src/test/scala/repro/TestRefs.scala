@@ -32,20 +32,21 @@ object TestRefs {
   }
 
   /** In-neighbor sets *within G_u* per (level, node): `I^T` of Section 4.2.
-    * downEdges(l) holds (upNode at l+1, downNode at l).
+    * Source-Push expands every node of levels 0..L-1, so a level-`l` node
+    * keeps all of its in-neighbors in `lg`, one level up.
     */
-  def guInNeighbors(sg: SourceGraph): Map[(Int, Long), Seq[Long]] =
+  def guInNeighbors(sg: SourceGraph, lg: LocalGraph): Map[(Int, Long), Seq[Long]] =
     (0 until sg.L).flatMap { l =>
-      sg.downEdges(l).groupBy(_._2).map { case (down, es) => (l, down) -> es.map(_._1).toSeq }
+      sg.h(l).keys.map(v => (l, v) -> lg.inNeighbors(v.toInt).map(_.toLong))
     }.toMap
 
   /** Exact hitting probabilities within G_u from a node at `fromLevel`:
     * returns map (level, node) -> probability of being there, walking only
     * along G_u edges with uniform choice over `I^T` (Definition 5).
     */
-  def guHittingDP(sg: SourceGraph, c: Double, fromLevel: Int, fromNode: Long): Map[(Int, Long), Double] = {
+  def guHittingDP(sg: SourceGraph, lg: LocalGraph, c: Double, fromLevel: Int, fromNode: Long): Map[(Int, Long), Double] = {
     val sqrtC = math.sqrt(c)
-    val inT   = guInNeighbors(sg)
+    val inT   = guInNeighbors(sg, lg)
     val probs = mutable.Map[(Int, Long), Double]((fromLevel, fromNode) -> 1.0)
     var cur   = Map[Long, Double](fromNode -> 1.0)
     var l     = fromLevel
@@ -69,9 +70,9 @@ object TestRefs {
     * two independent walks within G_u from attention node `w` at `level`;
     * gamma = 1 - Pr[they meet at an attention node at some deeper level].
     */
-  def gammaPairDP(sg: SourceGraph, c: Double, level: Int, w: Long): Double = {
+  def gammaPairDP(sg: SourceGraph, lg: LocalGraph, c: Double, level: Int, w: Long): Double = {
     val sqrtC = math.sqrt(c)
-    val inT   = guInNeighbors(sg)
+    val inT   = guInNeighbors(sg, lg)
     var state = Map[(Long, Long), Double]((w, w) -> 1.0)
     var met   = 0.0
     var l     = level

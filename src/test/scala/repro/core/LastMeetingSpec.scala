@@ -20,26 +20,36 @@ class LastMeetingSpec extends SparkSpec {
       val g  = TestGraphs.all(spark).toMap.apply(name)
       val sg = sourceGraph(name)
       if (sg.L >= 2) {
-        val hp = LastMeeting.hittingProbs(sg, c, g.local)
-        // For every attention node w at level l, its entries must equal the
-        // restriction of the exact G_u walk DP from (l, w) to attention targets.
-        for (l <- 1 to sg.L; w <- sg.attention(l).keys) {
-          val dp = TestRefs.guHittingDP(sg, c, l, w)
-          val entries = hp(l).getOrElse(w, scala.collection.mutable.Map.empty[(Int, Long), Double])
-          // all recorded entries correct
-          entries.foreach { case ((lvl, wi), v) =>
-            assert(sg.attention(lvl).contains(wi), s"non-attention target ($lvl,$wi)")
-            assert(math.abs(v - dp.getOrElse((lvl, wi), 0.0)) < 1e-9,
-              s"h~ from ($l,$w) to ($lvl,$wi): $v vs ${dp.getOrElse((lvl, wi), 0.0)}")
-          }
-          // no attention target missed
-          for (lvl <- l to sg.L; wi <- sg.attention(lvl).keys) {
-            val expect = dp.getOrElse((lvl, wi), 0.0)
-            if (expect > 1e-12)
-              assert(entries.contains((lvl, wi)), s"missing target ($lvl,$wi) from ($l,$w)")
+        val hp    = LastMeeting.hittingProbs(sg, c, g.local)
+        val index = LastMeeting.attentionIndex(sg)
+        assert(hp.length == index.size && index.size == sg.attentionCount)
+        // Row a must equal the exact G_u walk DP from a, restricted to the
+        // attention targets; targets on a shallower level get 0.
+        for ((a, i) <- index.zipWithIndex) {
+          val dp = TestRefs.guHittingDP(sg, g.local, c, a._1, a._2)
+          for ((b, j) <- index.zipWithIndex) {
+            val expect = dp.getOrElse(b, 0.0)
+            assert(math.abs(hp(i)(j) - expect) < 1e-9, s"h~ from $a to $b: ${hp(i)(j)} vs $expect")
           }
         }
       }
+    }
+  }
+
+  // The identity behind the implicit G_u: every attention row is the
+  // full-graph hitting distribution, because G_u keeps whole in-neighborhoods.
+  for {
+    name <- Seq("cycle8", "path6", "complete5", "toy", "er60", "pl80", "plU60")
+    eps  <- Seq(0.25, 0.1)
+  } test(s"attention rows equal the full-graph hitting DP on $name at eps=$eps") {
+    val g     = TestGraphs.all(spark).toMap.apply(name)
+    val sg    = sourceGraph(name, eps)
+    val hp    = LastMeeting.hittingProbs(sg, c, g.local)
+    val index = LastMeeting.attentionIndex(sg)
+    for (((l, w), i) <- index.zipWithIndex) {
+      val dp = TestRefs.hittingDP(g.local, w.toInt, c, sg.L - l)
+      for (((lb, wb), j) <- index.zipWithIndex if lb > l)
+        assert(math.abs(hp(i)(j) - dp(lb - l)(wb.toInt)) < 1e-12, s"($l,$w) -> ($lb,$wb)")
     }
   }
 
@@ -47,9 +57,8 @@ class LastMeetingSpec extends SparkSpec {
     val g  = TestGraphs.all(spark).toMap.apply("toy")
     val sg = sourceGraph("toy")
     val hp = LastMeeting.hittingProbs(sg, c, g.local)
-    for (l <- 1 to sg.L; w <- sg.attention(l).keys) {
-      assert(hp(l)(w)((l, w)) == 1.0)
-    }
+    assert(sg.attentionCount > 0)
+    LastMeeting.attentionIndex(sg).indices.foreach(a => assert(hp(a)(a) == 1.0))
   }
 
   // --- Algorithm 4: gamma ---
@@ -61,7 +70,7 @@ class LastMeetingSpec extends SparkSpec {
       val hp = LastMeeting.hittingProbs(sg, c, g.local)
       val gammas = LastMeeting.gammas(sg, hp)
       for (l <- 1 to sg.L; w <- sg.attention(l).keys) {
-        val expect = TestRefs.gammaPairDP(sg, c, l, w)
+        val expect = TestRefs.gammaPairDP(sg, g.local, c, l, w)
         val got    = gammas((l, w))
         assert(math.abs(got - expect) < 1e-9, s"gamma($l,$w): $got vs $expect")
       }

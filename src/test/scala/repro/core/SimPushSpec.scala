@@ -32,6 +32,27 @@ class SimPushSpec extends SparkSpec {
     assert(over <= 1e-5, s"overestimate $over — SimPush must underestimate")
   }
 
+  // The composition the query benchmark times layer by layer; it must be the
+  // same program as singleSource, and it compiles against the layer APIs.
+  for {
+    name <- Seq("cycle8", "path6", "complete5", "toy", "er60", "pl80", "plU60")
+    eps  <- Seq(0.2, 0.1)
+  } test(s"layer-by-layer composition equals singleSource on $name at eps=$eps") {
+    val g  = TestGraphs.all(spark).toMap.apply(name)
+    val u  = (0 until g.numNodes.toInt).find(g.local.inDeg(_) > 0).get.toLong
+    val p  = SimPushParams(eps, seed = 71)
+    val sg = SourcePush.run(g, u, p.c, p.epsH, p.delta, p.maxWalks, p.seed)
+    val scores =
+      if (sg.L == 0 || sg.attentionCount == 0) Map.empty[Long, Double]
+      else {
+        val hp  = LastMeeting.hittingProbs(sg, p.c, g.local)
+        val gm  = LastMeeting.gammas(sg, hp)
+        val res = gm.map { case ((l, w), gamma) => (l, w) -> sg.h(l)(w) * gamma }
+        ReversePush.run(g, res, sg.L, p.c, p.epsH)
+      }
+    assert(scores - u + (u -> 1.0) == SimPush.singleSource(g, u, p).scores)
+  }
+
   test("self similarity is 1 and absent nodes mean 0") {
     val g = TestGraphs.all(spark).toMap.apply("toy")
     val r = SimPush.singleSource(g, 0, SimPushParams(0.2))

@@ -67,25 +67,20 @@ class SyntheticSourceGraphSpec extends AnyFunSuite {
       }
     }
 
-    (SourceGraph(nodesAt(0).head, l, 1000, h.toIndexedSeq, downEdges.toIndexedSeq,
-      attention.toIndexedSeq), local)
+    // G_u edges: the layered edges into the nodes each level reaches
+    val numEdges = (0 until l).map(i => downEdges(i).count(e => h(i).contains(e._2)).toLong).sum
+    (SourceGraph(nodesAt(0).head, l, 1000, h.toIndexedSeq, numEdges, attention.toIndexedSeq), local)
   }
 
   for (seed <- 1 to 15) {
     test(s"Algorithm 3 hitting probabilities match the G_u DP (seed $seed)") {
       val (sg, local) = randomSourceGraph(seed)
-      val hp = LastMeeting.hittingProbs(sg, c, local)
-      for (l <- 1 to sg.L; w <- sg.attention(l).keys) {
-        val dp = TestRefs.guHittingDP(sg, c, l, w)
-        val entries = hp(l).getOrElse(w, scala.collection.mutable.Map.empty[(Int, Long), Double])
-        entries.foreach { case ((lvl, wi), v) =>
-          assert(math.abs(v - dp.getOrElse((lvl, wi), 0.0)) < 1e-9,
-            s"from ($l,$w) to ($lvl,$wi)")
-        }
-        for (lvl <- l + 1 to sg.L; wi <- sg.attention(lvl).keys) {
-          if (dp.getOrElse((lvl, wi), 0.0) > 1e-12)
-            assert(entries.contains((lvl, wi)), s"missing ($lvl,$wi) from ($l,$w)")
-        }
+      val hp    = LastMeeting.hittingProbs(sg, c, local)
+      val index = LastMeeting.attentionIndex(sg)
+      for ((a, i) <- index.zipWithIndex) {
+        val dp = TestRefs.guHittingDP(sg, local, c, a._1, a._2)
+        for ((b, j) <- index.zipWithIndex)
+          assert(math.abs(hp(i)(j) - dp.getOrElse(b, 0.0)) < 1e-9, s"from $a to $b")
       }
     }
   }
@@ -96,7 +91,7 @@ class SyntheticSourceGraphSpec extends AnyFunSuite {
       val hp = LastMeeting.hittingProbs(sg, c, local)
       val gm = LastMeeting.gammas(sg, hp)
       for (l <- 1 to sg.L; w <- sg.attention(l).keys) {
-        val expect = TestRefs.gammaPairDP(sg, c, l, w)
+        val expect = TestRefs.gammaPairDP(sg, local, c, l, w)
         assert(math.abs(gm((l, w)) - expect) < 1e-9, s"gamma($l,$w)")
         assert(gm((l, w)) >= 0.0 && gm((l, w)) <= 1.0)
       }
