@@ -24,7 +24,7 @@ class BenchTradeoffSpec extends SparkSpec {
   for (dsName <- Seq("in2004-lite", "dblp-lite", "pokec-lite", "twitter-lite")) {
     test(s"Figure 4/5/6 sweep on $dsName") {
       val ds = datasets.find(_.name == dsName).get
-      ds.graph.warm()
+      Harness.warm(ds.graph)
       val t0 = System.nanoTime()
       val truth = ExactSimRank.allPairs(ds.graph.local, c = 0.6, iters = 25)
       val truthMs = (System.nanoTime() - t0) / 1000000
@@ -69,7 +69,7 @@ class BenchTradeoffSpec extends SparkSpec {
     // reproduce the comparison shape on our largest stand-in.
     val spark0 = spark
     val ds = Datasets.extended(spark0).find(_.name == "uk-lite").get
-    ds.graph.warm()
+    Harness.warm(ds.graph)
     val truth   = ExactSimRank.allPairs(ds.graph.local, c = 0.6, iters = 25)
     val queries = Datasets.queryNodes(ds.graph, math.min(2, numQueries))
     println()

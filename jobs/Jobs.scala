@@ -33,7 +33,8 @@ object DatasetStatsJob {
 }
 
 /** One single-source SimPush query: prints the top-k results and the query's
-  * internals (L, #attention nodes, time). Args: [dataset] [eps] [k].
+  * internals (L against L*, the levels pushed to certify L, #attention nodes,
+  * `G_u` edges, time). Args: [dataset] [eps] [k].
   */
 object SimPushQueryJob {
   def main(args: Array[String]): Unit = {
@@ -45,9 +46,10 @@ object SimPushQueryJob {
       .getOrElse(sys.error(s"unknown dataset $dsName"))
     ds.graph.warm()
     val u = Datasets.queryNodes(ds.graph, 1).head
-    val r = SimPush.singleSource(ds.graph, u, SimPushParams(eps))
-    println(s"query u=$u eps=$eps: L=${r.L} attention=${r.attentionCount} " +
-      s"G_u edges=${r.sourceGraphEdges} time=${r.millis}ms")
+    val p = SimPushParams(eps)
+    val r = SimPush.singleSource(ds.graph, u, p)
+    println(s"query u=$u eps=$eps: L=${r.L} L*=${p.lStar} levelsPushed=${r.levelsPushed} " +
+      s"attention=${r.attentionCount} G_u edges=${r.sourceGraphEdges} time=${r.millis}ms")
     Metrics.topKEst(r.scores, u, k).foreach { v =>
       println(f"  v=$v%8d  s=${r.scores(v)}%.6f")
     }
@@ -65,7 +67,7 @@ object TradeoffJob {
     val nq      = args.lift(1).map(_.toInt).getOrElse(3)
     val ds      = Datasets.extended(spark).find(_.name == dsName)
       .getOrElse(sys.error(s"unknown dataset $dsName"))
-    ds.graph.warm()
+    Harness.warm(ds.graph)
     val truth   = ExactSimRank.allPairs(ds.graph.local, c = 0.6)
     val queries = Datasets.queryNodes(ds.graph, nq)
     println(Harness.header)

@@ -3,7 +3,6 @@ package repro.baselines
 import java.util.SplittableRandom
 
 import org.apache.spark.sql.DataFrame
-import repro.core.RandomWalks
 import repro.graph.Graph
 
 /** Monte-Carlo estimation of the last-meeting probability

@@ -2,7 +2,6 @@ package repro.baselines
 
 import java.util.SplittableRandom
 
-import repro.core.RandomWalks
 import repro.graph.Graph
 
 /** Monte-Carlo SimRank estimation [5, 6]: `s(u, v)` is the probability that

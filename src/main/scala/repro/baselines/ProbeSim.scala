@@ -1,7 +1,6 @@
 package repro.baselines
 
 import org.apache.spark.sql.functions._
-import repro.core.RandomWalks
 import repro.graph.Graph
 
 /** ProbeSim [21] (Section 2.2): the previous index-free state of the art and

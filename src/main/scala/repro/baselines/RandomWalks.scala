@@ -1,17 +1,17 @@
-package repro.core
+package repro.baselines
 
 import java.util.SplittableRandom
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import repro.graph.Graph
 
-/** Batched \sqrt{c}-walk simulation.
+/** Batched \sqrt{c}-walk simulation for the walk-based competitors
+  * (ProbeSim's sampled walks; `mix` seeds the walks of Eta, READS, TSF and
+  * Monte-Carlo SimRank).
   *
   * The graph's CSR form is broadcast to executors and each partition
   * simulates its share of walks independently — one Spark job regardless of
-  * walk count. This is the standard dataflow pattern for random walks on a
-  * graph that fits executor memory; the *push* phases (the paper's actual
-  * contribution) stay join-based.
+  * walk count.
   */
 object RandomWalks {
 
@@ -37,16 +37,5 @@ object RandomWalks {
       val walk = bc.value.sqrtCWalk(s, c, maxSteps, rng)
       walk.iterator.zipWithIndex.map { case (node, step) => (id, step, node.toLong) }.toSeq
     }.toDF("walkId", "step", "node")
-  }
-
-  /** Per-(step, node) visit counts `H^{(l)}(u, v)` over `numWalks` walks —
-    * the statistic Source-Push uses to pick the max level L (Algorithm 2).
-    */
-  def visitCounts(g: Graph, start: Long, numWalks: Long, c: Double,
-                  maxSteps: Int, seed: Long): DataFrame = {
-    import org.apache.spark.sql.functions._
-    sqrtCWalks(g, start, numWalks, c, maxSteps, seed)
-      .groupBy("step", "node")
-      .agg(count(lit(1)).as("visits"))
   }
 }

@@ -4,7 +4,6 @@ import java.util.SplittableRandom
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.core.RandomWalks
 import repro.graph.Graph
 
 /** READS [12] (Section 2.2): index-based. Pre-computes `r` \sqrt{c}-walks of

@@ -4,7 +4,6 @@ import java.util.SplittableRandom
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.core.RandomWalks
 import repro.graph.Graph
 
 /** TSF [28] (Section 2.2): index-based. The index holds `Rg` *one-way

@@ -5,11 +5,9 @@ import repro.graph.Graph
 /** Parameters of a SimPush query (Definition 1 + Algorithm 1).
   *
   * @param eps      absolute error threshold
-  * @param delta    failure probability (paper default 1e-4)
   * @param c        SimRank decay factor (paper default 0.6)
-  * @param maxWalks cap on the Monte-Carlo walks used for level detection;
-  *                 the paper's budget is ~2 log(1/((1-sqrt c) epsH delta))/epsH^2
-  * @param seed     RNG seed for the walk phase (deterministic replay)
+  * @param delta    unused, like `maxWalks` and `seed`: L is exact (Theorem 1
+  *                 holds with delta = 0); simbench still reads all three
   */
 final case class SimPushParams(
     eps: Double,
@@ -28,11 +26,13 @@ final case class SimPushParams(
 /** Result of a single-source SimPush query.
   *
   * @param scores sparse `\tilde s(u, v)` including `u -> 1`; absent nodes are 0
+  * @param levelsPushed levels Source-Push propagated to certify `L`
   */
 final case class SimPushResult(
     u: Long,
     scores: Map[Long, Double],
     L: Int,
+    levelsPushed: Int,
     attentionCount: Int,
     sourceGraphEdges: Long,
     millis: Long,
@@ -40,18 +40,18 @@ final case class SimPushResult(
 
 /** SimPush (Algorithm 1): index-free approximate single-source SimRank.
   *
-  * Stage 1 (Source-Push) detects L with one distributed walk job and then,
-  * like stage 3 (Reverse-Push), propagates level by level over the driver
-  * CSR ([[repro.graph.LocalGraph.push]]); stage 2 operates on the tiny
-  * per-query source graph `G_u` — mirroring the paper's separation between
-  * O(m)-per-level full-graph work and O(1/eps)-sized attention-node work.
+  * Stages 1 (Source-Push, which also fixes L exactly) and 3 (Reverse-Push)
+  * propagate level by level over the driver CSR ([[repro.graph.LocalGraph.push]]),
+  * and stage 2 operates on the tiny per-query source graph `G_u`: no Spark
+  * job. This mirrors the paper's separation between O(m)-per-level
+  * full-graph work and O(1/eps)-sized attention-node work.
   */
 object SimPush {
 
   def singleSource(g: Graph, u: Long, p: SimPushParams): SimPushResult = {
     require(u >= 0 && u < g.numNodes, s"query node $u is not in [0, ${g.numNodes})")
     val t0 = System.nanoTime()
-    val sg = SourcePush.run(g, u, p.c, p.epsH, p.delta, p.maxWalks, p.seed)
+    val sg = SourcePush.run(g, u, p.c, p.epsH)
     val scores: Map[Long, Double] =
       if (sg.L == 0 || sg.attentionCount == 0) Map.empty
       else {
@@ -60,6 +60,6 @@ object SimPush {
       }
     val withSelf = scores - u + (u -> 1.0) // Algorithm 5, line 10
     val millis   = (System.nanoTime() - t0) / 1000000
-    SimPushResult(u, withSelf, sg.L, sg.attentionCount, sg.numEdges, millis)
+    SimPushResult(u, withSelf, sg.L, sg.levelsPushed, sg.attentionCount, sg.numEdges, millis)
   }
 }

@@ -4,13 +4,12 @@ import repro.{SparkSpec, TestGraphs, TestRefs}
 
 class LastMeetingSpec extends SparkSpec {
 
-  private val c     = 0.6
-  private val delta = 1e-4
+  private val c = 0.6
 
   private def sourceGraph(name: String, eps: Double = 0.25): SourceGraph = {
     val g = TestGraphs.all(spark).toMap.apply(name)
     val u = (0 until g.numNodes.toInt).find(g.local.inDeg(_) > 0).get
-    SourcePush.run(g, u, c, SourcePush.epsH(eps, c), delta, maxWalks = 60000, seed = 33)
+    SourcePush.run(g, u, c, SourcePush.epsH(eps, c))
   }
 
   // --- Algorithm 3: hitting probabilities within G_u ---

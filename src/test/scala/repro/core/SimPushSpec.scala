@@ -23,7 +23,7 @@ class SimPushSpec extends SparkSpec {
     val truth = truthFor(name)
     val u     = (0 until g.numNodes.toInt).find(g.local.inDeg(_) > 0).get
     val r     = SimPush.singleSource(g, u, SimPushParams(eps, seed = 71))
-    // lower side: Theorem 1 (probabilistic in L only; delta = 1e-4)
+    // lower side: Theorem 1 (deterministic: L is computed exactly)
     val worst = Metrics.maxAbsError(truth(u), r.scores, u)
     assert(worst <= eps + 1e-6, s"max error $worst exceeds eps=$eps")
     // upper side: \tilde s <= s (exact-arithmetic property of the design;
@@ -33,7 +33,8 @@ class SimPushSpec extends SparkSpec {
   }
 
   // The composition the query benchmark times layer by layer; it must be the
-  // same program as singleSource, and it compiles against the layer APIs.
+  // same program as singleSource, and it compiles against the layer APIs
+  // (including simbench's 7-argument `SourcePush.run`).
   for {
     name <- Seq("cycle8", "path6", "complete5", "toy", "er60", "pl80", "plU60")
     eps  <- Seq(0.2, 0.1)

@@ -4,8 +4,7 @@ import repro.{SparkSpec, TestGraphs, TestRefs}
 
 class SourcePushSpec extends SparkSpec {
 
-  private val c     = 0.6
-  private val delta = 1e-4
+  private val c = 0.6
 
   test("epsH and L* match the paper's formulas") {
     val eh = SourcePush.epsH(0.02, 0.6)
@@ -28,7 +27,7 @@ class SourcePushSpec extends SparkSpec {
       val g    = TestGraphs.all(spark).toMap.apply(name)
       val u    = (0 until g.numNodes.toInt).find(g.local.inDeg(_) > 0).get
       val epsH = SourcePush.epsH(0.25, c)
-      val sg   = SourcePush.run(g, u, c, epsH, delta, maxWalks = 60000, seed = 21)
+      val sg   = SourcePush.run(g, u, c, epsH)
       val dp   = TestRefs.hittingDP(g.local, u, c, sg.L)
       for (l <- 0 to sg.L) {
         // every nonzero DP entry present and equal
@@ -47,7 +46,7 @@ class SourcePushSpec extends SparkSpec {
   test("level mass sums to sqrt(c)^l on graphs without dead ends") {
     val g    = TestGraphs.directed(spark).toMap.apply("cycle8")
     val epsH = SourcePush.epsH(0.3, c)
-    val sg   = SourcePush.run(g, 0, c, epsH, delta, maxWalks = 30000)
+    val sg   = SourcePush.run(g, 0, c, epsH)
     for (l <- 0 to sg.L) {
       assert(math.abs(sg.h(l).values.sum - math.pow(math.sqrt(c), l)) < 1e-9, s"level $l")
     }
@@ -57,7 +56,7 @@ class SourcePushSpec extends SparkSpec {
     val g    = TestGraphs.directed(spark).toMap.apply("pl80")
     val u    = (0 until 80).find(g.local.inDeg(_) > 0).get
     val epsH = SourcePush.epsH(0.2, c)
-    val sg   = SourcePush.run(g, u, c, epsH, delta, maxWalks = 60000)
+    val sg   = SourcePush.run(g, u, c, epsH)
     assert(sg.attention(0).isEmpty)
     for (l <- 1 to sg.L) {
       val expected = sg.h(l).filter(_._2 >= epsH)
@@ -69,10 +68,15 @@ class SourcePushSpec extends SparkSpec {
   }
 
   test("L is bounded by L*") {
-    val g    = TestGraphs.directed(spark).toMap.apply("cycle8")
-    val epsH = SourcePush.epsH(0.3, c)
-    val sg   = SourcePush.run(g, 0, c, epsH, delta, maxWalks = 30000)
-    assert(sg.L <= SourcePush.maxLevelBound(epsH, c))
+    // ... and propagation certifies L within L*: L <= levelsPushed <= L*.
+    for ((name, g) <- TestGraphs.all(spark); eps <- Seq(0.3, 0.1, 0.02)) {
+      val epsH = SourcePush.epsH(eps, c)
+      val u    = (0 until g.numNodes.toInt).find(g.local.inDeg(_) > 0).get
+      val sg   = SourcePush.run(g, u, c, epsH)
+      assert(sg.L <= sg.levelsPushed && sg.levelsPushed <= SourcePush.maxLevelBound(epsH, c),
+        s"$name eps=$eps: L=${sg.L} levelsPushed=${sg.levelsPushed}")
+      assert(sg.h.size == sg.L + 1 && sg.attention(sg.L).nonEmpty == (sg.L > 0), s"$name eps=$eps")
+    }
   }
 
   // G_u is implicit: its edges are the in-edges of the expanded levels, and
@@ -83,7 +87,7 @@ class SourcePushSpec extends SparkSpec {
   } test(s"G_u edge count is the in-degree sum of levels 0..L-1 on $name at eps=$eps") {
     val g  = TestGraphs.all(spark).toMap.apply(name)
     val u  = (0 until g.numNodes.toInt).find(g.local.inDeg(_) > 0).get
-    val sg = SourcePush.run(g, u, c, SourcePush.epsH(eps, c), delta, maxWalks = 30000)
+    val sg = SourcePush.run(g, u, c, SourcePush.epsH(eps, c))
     var expect = 0L
     for (l <- 0 until sg.L; v <- sg.h(l).keysIterator) {
       expect += g.local.inDeg(v.toInt)
@@ -96,7 +100,7 @@ class SourcePushSpec extends SparkSpec {
 
   test("query node with no in-neighbors yields an empty source graph") {
     val g  = TestGraphs.star(spark)
-    val sg = SourcePush.run(g, 3, c, SourcePush.epsH(0.2, c), delta, maxWalks = 5000)
+    val sg = SourcePush.run(g, 3, c, SourcePush.epsH(0.2, c))
     assert(sg.L == 0 && sg.attentionCount == 0)
   }
 
@@ -104,8 +108,8 @@ class SourcePushSpec extends SparkSpec {
     val g = TestGraphs.directed(spark).toMap.apply("er60")
     val u = (0 until 60).find(g.local.inDeg(_) > 0).get
     val epsH = SourcePush.epsH(0.25, c)
-    val a = SourcePush.run(g, u, c, epsH, delta, maxWalks = 20000, seed = 5)
-    val b = SourcePush.run(g, u, c, epsH, delta, maxWalks = 20000, seed = 5)
+    val a = SourcePush.run(g, u, c, epsH)
+    val b = SourcePush.run(g, u, c, epsH)
     assert(a.L == b.L && a.h == b.h && a.attention == b.attention)
   }
 }

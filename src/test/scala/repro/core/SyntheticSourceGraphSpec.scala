@@ -69,7 +69,7 @@ class SyntheticSourceGraphSpec extends AnyFunSuite {
 
     // G_u edges: the layered edges into the nodes each level reaches
     val numEdges = (0 until l).map(i => downEdges(i).count(e => h(i).contains(e._2)).toLong).sum
-    (SourceGraph(nodesAt(0).head, l, 1000, h.toIndexedSeq, numEdges, attention.toIndexedSeq), local)
+    (SourceGraph(nodesAt(0).head, l, l, h.toIndexedSeq, numEdges, attention.toIndexedSeq), local)
   }
 
   for (seed <- 1 to 15) {
