@@ -1,7 +1,19 @@
 package repro.bench
 
+import java.io.File
+import java.nio.charset.StandardCharsets
+import java.nio.file.Files
+
+import scala.jdk.CollectionConverters._
+import scala.sys.process._
+
+import com.fasterxml.jackson.databind.ObjectMapper
+import com.fasterxml.jackson.databind.node.ObjectNode
+
 import repro.SparkSpec
 import repro.eval.{Datasets, ExactSimRank, Harness}
+import repro.eval.Harness.RunRow
+import repro.graph.Graph
 
 /** Figures 4 + 5 + 6 reproduction (as tables): for every dataset and every
   * method, the (AvgError@50, Precision@50, query time, index size) trade-off
@@ -14,6 +26,10 @@ import repro.eval.{Datasets, ExactSimRank, Harness}
   *     while being the fastest or near-fastest index-free method;
   *   - index-based methods pay index build time SimPush does not;
   *   - SimPush's precision rises above 0.9 at the finest setting.
+  *
+  * Every row is also written to `BENCH_tradeoff.json` at the repository root
+  * (one JSON object per row), so a re-run can be diffed against the last
+  * committed one. Rows of datasets this run did not sweep are kept.
   */
 class BenchTradeoffSpec extends SparkSpec {
 
@@ -21,10 +37,48 @@ class BenchTradeoffSpec extends SparkSpec {
 
   private lazy val datasets = Datasets.standard(spark)
 
+  private val json    = new ObjectMapper()
+  private val results = scala.collection.mutable.ArrayBuffer.empty[ObjectNode]
+
+  private def record(g: Graph, queries: Seq[Long], rows: Seq[RunRow]): Unit = rows.foreach { r =>
+    val o = json.createObjectNode()
+    o.put("sha", sha).put("nproc", Runtime.getRuntime.availableProcessors())
+    o.put("dataset", r.dataset).put("n", g.numNodes).put("m", g.numEdges)
+    val qs = o.putArray("queries"); queries.foreach(q => qs.add(q))
+    o.put("method", r.method).put("setting", r.setting)
+    o.put("index_ms", r.indexMillis).put("index_rows", r.indexRows)
+    o.put("query_ms", r.avgQueryMillis).put("avg_err_at_50", r.avgErr).put("prec_at_50", r.avgPrec)
+    o.put("note", r.note)
+    results += o
+  }
+
+  private lazy val sha: String =
+    scala.util.Try(Seq("git", "describe", "--always", "--dirty", "--abbrev=7").!!.trim).getOrElse("unknown")
+
+  /** `BENCH_tradeoff.json` in the first ancestor of the working directory that holds `build.sbt`. */
+  private def outFile: File = {
+    val root = Iterator.iterate(new File(sys.props("user.dir")).getAbsoluteFile)(_.getParentFile)
+      .takeWhile(_ != null).find(d => new File(d, "build.sbt").exists && new File(d, "bench").isDirectory)
+    new File(root.getOrElse(new File(".")), "BENCH_tradeoff.json")
+  }
+
+  override def afterAll(): Unit = {
+    if (results.nonEmpty) {
+      val f     = outFile
+      val swept = results.map(_.get("dataset").asText).toSet
+      val kept  = if (!f.exists) Seq.empty
+        else json.readTree(f).elements.asScala.filterNot(r => swept(r.get("dataset").asText)).toSeq
+      val lines = (kept ++ results).map(json.writeValueAsString)
+      Files.write(f.toPath, lines.mkString("[\n", ",\n", "\n]\n").getBytes(StandardCharsets.UTF_8))
+      println(s"wrote ${lines.size} rows to $f")
+    }
+    super.afterAll()
+  }
+
   for (dsName <- Seq("in2004-lite", "dblp-lite", "pokec-lite", "twitter-lite")) {
     test(s"Figure 4/5/6 sweep on $dsName") {
       val ds = datasets.find(_.name == dsName).get
-      Harness.warm(ds.graph)
+      ds.graph.warm()
       val t0 = System.nanoTime()
       val truth = ExactSimRank.allPairs(ds.graph.local, c = 0.6, iters = 25)
       val truthMs = (System.nanoTime() - t0) / 1000000
@@ -36,6 +90,7 @@ class BenchTradeoffSpec extends SparkSpec {
       val rows = Harness.fullSweep(ds, truth, queries)
       rows.foreach(r => println(Harness.format(r)))
       println()
+      record(ds.graph, queries, rows)
 
       val simPush = rows.filter(_.method == "SimPush")
       val finest  = simPush.last
@@ -69,7 +124,7 @@ class BenchTradeoffSpec extends SparkSpec {
     // reproduce the comparison shape on our largest stand-in.
     val spark0 = spark
     val ds = Datasets.extended(spark0).find(_.name == "uk-lite").get
-    Harness.warm(ds.graph)
+    ds.graph.warm()
     val truth   = ExactSimRank.allPairs(ds.graph.local, c = 0.6, iters = 25)
     val queries = Datasets.queryNodes(ds.graph, math.min(2, numQueries))
     println()
@@ -79,6 +134,7 @@ class BenchTradeoffSpec extends SparkSpec {
       Harness.probeSim(ds, truth, queries, Seq(400, 1600))
     rows.foreach(r => println(Harness.format(r)))
     println()
+    record(ds.graph, queries, rows)
     val spFine = rows.filter(_.method == "SimPush").last
     val psFine = rows.filter(_.method == "ProbeSim").last
     // the paper's headline: at comparable error, SimPush is faster

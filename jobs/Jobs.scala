@@ -67,7 +67,7 @@ object TradeoffJob {
     val nq      = args.lift(1).map(_.toInt).getOrElse(3)
     val ds      = Datasets.extended(spark).find(_.name == dsName)
       .getOrElse(sys.error(s"unknown dataset $dsName"))
-    Harness.warm(ds.graph)
+    ds.graph.warm()
     val truth   = ExactSimRank.allPairs(ds.graph.local, c = 0.6)
     val queries = Datasets.queryNodes(ds.graph, nq)
     println(Harness.header)

@@ -1,7 +1,5 @@
 package repro.baselines
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 import repro.graph.Graph
 
 /** PRSim [33] (Section 2.2): the index-based state of the art. PRSim keeps
@@ -19,8 +17,11 @@ import repro.graph.Graph
   */
 object PrSim {
 
-  final case class Index(hubLevels: DataFrame, hubs: Set[Long], eta: Map[Long, Double],
-                         theta: Double, maxLevel: Int, rows: Long, buildMillis: Long)
+  /** @param hubLists reverse lists of the hubs, as in [[Sling.Index]] */
+  final case class Index(hubLists: Map[Long, PushOps.Levels], eta: Map[Long, Double],
+                         theta: Double, maxLevel: Int, rows: Long, buildMillis: Long) {
+    def hubs: Set[Long] = hubLists.keySet
+  }
 
   /** @param j0 number of hub nodes (paper default sqrt(n)) */
   def buildIndex(g: Graph, theta: Double, c: Double, j0: Int,
@@ -28,62 +29,22 @@ object PrSim {
     val t0 = System.nanoTime()
     val maxLevel = math.max(1,
       math.floor(math.log(1.0 / theta) / math.log(1.0 / math.sqrt(c))).toInt)
-    val hubs = g.inDeg.orderBy(col("din").desc, col("node")).limit(j0)
-      .collect().map(_.getLong(0)).toSet
-    val spark = g.spark
-    import spark.implicits._
-    val seeds = hubs.toSeq.toDF("key").select(col("key"), col("key").as("node"))
-    val hubLevels = PushOps.reverseExpand(g, seeds, c, maxLevel, theta)
-      .where(col("level") >= 1)
-      .localCheckpoint(true)
-    val rows = hubLevels.count()
+    val lg   = g.local
+    val hubs = (0 until lg.n).filter(lg.inDeg(_) > 0).sortBy(v => (-lg.inDeg(v), v))
+      .take(j0).map(_.toLong)
+    val hubLists = PushOps.reverseLists(g, hubs, c, maxLevel, theta)
     val eta = Eta.estimate(g, etaSamples, c, maxLevel + 10, seed)
       .collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
-    Index(hubLevels, hubs, eta, theta, maxLevel, rows, (System.nanoTime() - t0) / 1000000)
+    Index(hubLists, eta, theta, maxLevel, PushOps.rows(hubLists), (System.nanoTime() - t0) / 1000000)
   }
 
   def query(g: Graph, idx: Index, u: Long, c: Double): Map[Long, Double] = {
-    val spark = g.spark
-    import spark.implicits._
-    val hU = PushOps.forwardPush(g, u, c, idx.maxLevel, idx.theta)
-    val support = for {
-      (hm, l) <- hU.zipWithIndex if l >= 1
-      (w, h)  <- hm if h >= idx.theta
-    } yield (w, l, h * idx.eta.getOrElse(w, 1.0))
-    if (support.isEmpty) return Map(u -> 1.0)
-
-    val (hubPart, restPart) = support.partition { case (w, _, _) => idx.hubs.contains(w) }
-
-    val fromHubs: Seq[(Long, Double)] =
-      if (hubPart.isEmpty) Seq.empty
-      else {
-        val uDf = hubPart.toDF("w", "l", "hue")
-        idx.hubLevels
-          .join(broadcast(uDf), col("key") === col("w") && col("level") === col("l"))
-          .select(col("node"), (col("hue") * col("h")).as("contrib"))
-          .groupBy("node").agg(sum("contrib").as("s"))
-          .collect().map(r => (r.getLong(0), r.getDouble(1))).toSeq
-      }
-
+    val lg = g.local
+    val hU = PushOps.levels(lg, u, c, idx.maxLevel, idx.theta)
     // Non-hub meeting nodes: compute reverse lists online (the part PRSim
     // pays at query time).
-    val fromRest: Seq[(Long, Double)] =
-      if (restPart.isEmpty) Seq.empty
-      else {
-        val seedDf = restPart.map { case (w, _, _) => w }.distinct.toDF("key")
-          .select(col("key"), col("key").as("node"))
-        val online = PushOps.reverseExpand(g, seedDf, c, idx.maxLevel, idx.theta)
-          .where(col("level") >= 1)
-        val uDf = restPart.toDF("w", "l", "hue")
-        online
-          .join(broadcast(uDf), col("key") === col("w") && col("level") === col("l"))
-          .select(col("node"), (col("hue") * col("h")).as("contrib"))
-          .groupBy("node").agg(sum("contrib").as("s"))
-          .collect().map(r => (r.getLong(0), r.getDouble(1))).toSeq
-      }
-
-    val scores = (fromHubs ++ fromRest)
-      .groupBy(_._1).view.mapValues(_.map(_._2).sum).toMap
-    scores - u + (u -> 1.0)
+    val online = scala.collection.mutable.HashMap.empty[Long, PushOps.Levels]
+    PushOps.decomposition(u, hU, idx.eta, w => idx.hubLists.getOrElse(w,
+      online.getOrElseUpdate(w, PushOps.levels(lg, w, c, idx.maxLevel, idx.theta, transpose = true))))
   }
 }

@@ -1,23 +1,23 @@
 package repro.baselines
 
-import org.apache.spark.sql.functions._
-import repro.graph.Graph
+import java.util.SplittableRandom
+
+import repro.graph.{Graph, LocalGraph}
 
 /** ProbeSim [21] (Section 2.2): the previous index-free state of the art and
   * SimPush's headline competitor.
   *
-  * For each sampled \sqrt{c}-walk `W(u)` and each step `l` of the walk, a
-  * *probe* from the walk node `w_l` computes, for every `v`, the probability
-  * that a \sqrt{c}-walk from `v` FIRST meets `W(u)` at step `l` — a reverse
-  * push from `w_l` for `l` levels in which mass passing through an earlier
-  * walk node `w_j` at step `j < l` is cancelled (those walks already met).
-  * Averaging over walks estimates `s(u,v) = sum_l sum_w f^{(l)}(u,v,w)`
+  * For each sampled \sqrt{c}-walk `W(u)` and each step `t` of the walk, a
+  * *probe* from the walk node `w_t` computes, for every `v`, the probability
+  * that a \sqrt{c}-walk from `v` FIRST meets `W(u)` at step `t` — a reverse
+  * push from `w_t` for `t` levels in which mass passing through an earlier
+  * walk node `w_j` at step `j < t` is cancelled (those walks already met).
+  * Averaging over walks estimates `s(u,v) = sum_t sum_w f^{(t)}(u,v,w)`
   * (Equation 5).
   *
-  * All probes of all walks are batched into one level-synchronous dataflow
-  * keyed by `(walkId, targetStep)`; the per-walk sequential probing of the
-  * original is the inefficiency SimPush removes, and it shows up here as the
-  * large state this job carries compared to SimPush's single residue push.
+  * Walks are sampled and probed one at a time on the driver CSR, as in the
+  * original; this per-walk sequential probing is the inefficiency SimPush
+  * removes with its single residue push.
   */
 object ProbeSim {
 
@@ -28,47 +28,34 @@ object ProbeSim {
                           maxSteps: Int = 15, seed: Long = 29L)
 
   def query(g: Graph, u: Long, p: Params): Map[Long, Double] = {
-    val spark = g.spark
-    import spark.implicits._
-    val sqrtC = math.sqrt(p.c)
-
-    val walks = RandomWalks.sqrtCWalks(g, u, p.numWalks, p.c, p.maxSteps, p.seed)
-      .localCheckpoint(true)
-    // Probe seeds: every (walk, step>=1) position. Exclusions: the walk's own
-    // positions at steps >= 1 (a probe path crossing w_j at step j met earlier).
-    val seeds = walks.where(col("step") >= 1)
-      .select(col("walkId"), col("step").as("target"), col("step").as("posStep"),
-        col("node"), lit(1.0).as("r"))
-    val excl = walks.where(col("step") >= 1)
-      .select(col("walkId").as("xw"), col("step").as("xs"), col("node").as("xn"))
-      .localCheckpoint(true)
-
-    val acc = scala.collection.mutable.Map.empty[Long, Double]
-    var state = seeds.localCheckpoint(true)
-    var live  = state.where(col("posStep") >= 1).count()
-    while (live > 0) {
-      val pushed = g.edgesWithInDeg
-        .join(state.where(col("posStep") >= 1 && col("r") >= p.prune)
-          .withColumnRenamed("node", "snode"), col("src") === col("snode"))
-        .select(col("walkId"), col("target"), (col("posStep") - 1).as("posStep"),
-          col("dst").as("node"), (lit(sqrtC) * col("r") / col("din")).as("contrib"))
-        .groupBy("walkId", "target", "posStep", "node")
-        .agg(sum("contrib").as("r"))
-      // Cancel mass sitting on an earlier walk position (posStep in [1, target)).
-      val cleaned = pushed
-        .join(excl,
-          col("walkId") === col("xw") && col("posStep") === col("xs") &&
-            col("node") === col("xn") && col("posStep") < col("target"),
-          "left_anti")
-        .localCheckpoint(true)
-      cleaned.where(col("posStep") === 0)
-        .groupBy("node").agg(sum("r").as("r"))
-        .collect()
-        .foreach(row => acc.update(row.getLong(0), acc.getOrElse(row.getLong(0), 0.0) + row.getDouble(1)))
-      state = cleaned.where(col("posStep") >= 1)
-      live  = state.count()
+    val lg  = g.local
+    val acc = scala.collection.mutable.HashMap.empty[Long, Double]
+    for (id <- 0 until p.numWalks) {
+      val walk = lg.sqrtCWalk(u.toInt, p.c, p.maxSteps, new SplittableRandom(RandomWalks.mix(p.seed, id)))
+      probe(lg, walk, p.c, p.prune).foreach { case (v, f) => acc.update(v, acc.getOrElse(v, 0.0) + f) }
     }
-    val scores = acc.map { case (v, s) => v -> s / p.numWalks }.toMap
-    scores - u + (u -> 1.0)
+    acc.iterator.map { case (v, s) => v -> s / p.numWalks }.toMap - u + (u -> 1.0)
+  }
+
+  /** All probes of one walk `walk = (w_0, .., w_T)`: for every `v`, the sum
+    * over `t in [1, T]` of the probability that a \sqrt{c}-walk from `v`
+    * first meets the walk at step `t`. The probe of step `t` pushes from
+    * `w_t` along out-edges for `t` levels, dropping mass below `prune` before
+    * each push and cancelling the mass on `w_j` once it sits at step `j`,
+    * `j in [1, t)`.
+    */
+  def probe(lg: LocalGraph, walk: Array[Int], c: Double, prune: Double): Map[Long, Double] = {
+    val acc = scala.collection.mutable.HashMap.empty[Long, Double]
+    for (t <- 1 until walk.length) {
+      var r = Map(walk(t).toLong -> 1.0)
+      var j = t
+      while (j > 0 && r.nonEmpty) {
+        r = lg.push(r.filter(_._2 >= prune), c, transpose = true)
+        j -= 1
+        if (j >= 1) r -= walk(j).toLong
+      }
+      r.foreach { case (v, f) => acc.update(v, acc.getOrElse(v, 0.0) + f) }
+    }
+    acc.toMap
   }
 }

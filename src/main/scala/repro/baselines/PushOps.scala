@@ -1,62 +1,64 @@
 package repro.baselines
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
-import repro.graph.Graph
+import repro.graph.{Graph, LocalGraph}
 
-/** Level-wise push primitives shared by the baseline methods.
+/** Level-wise push primitives shared by the baseline methods, all on the
+  * driver CSR kernel [[repro.graph.LocalGraph.push]].
   *
   * Conventions match the paper: `h^{(l)}(v, w)` is the probability that a
   * \sqrt{c}-walk from `v` is at `w` after `l` steps. A *forward* push from
-  * `u` flows along in-edges (walk direction) and yields `h^{(l)}(u, .)`; it
-  * is single-source and runs on the driver CSR ([[repro.graph.LocalGraph.push]]).
-  * A *reverse* expansion from many seeds `w` flows along out-edges and yields
-  * `h^{(l)}(., w)`; it is bulk work and stays a distributed join.
+  * `u` flows along in-edges (walk direction) and yields `h^{(l)}(u, .)`; a
+  * *reverse* push from `w` flows along out-edges (`transpose`) and yields
+  * `h^{(l)}(., w)`, the reverse list of `w`.
   */
 object PushOps {
 
-  /** Forward push from `u`: levels 0..maxLevel of `h^{(l)}(u, .)`.
-    * Entries with `h < prune` are dropped *before* being pushed (prune = 0
-    * gives the exact exhaustive propagation).
+  /** `levels(l)` maps a node to its mass after `l` pushes. */
+  type Levels = IndexedSeq[Map[Long, Double]]
+
+  /** Levels 0..maxLevel of a push from `seed` (fewer if a level empties):
+    * `h^{(l)}(seed, .)`, or `h^{(l)}(., seed)` with `transpose`. Every pushed
+    * level keeps only its entries `>= prune`, so nothing below `prune` is
+    * pushed further (prune = 0 gives the exact exhaustive propagation).
     */
-  def forwardPush(g: Graph, u: Long, c: Double, maxLevel: Int,
-                  prune: Double): IndexedSeq[Map[Long, Double]] = {
-    val local = g.local
-    val out   = scala.collection.mutable.ArrayBuffer[Map[Long, Double]](Map(u -> 1.0))
+  def levels(lg: LocalGraph, seed: Long, c: Double, maxLevel: Int, prune: Double,
+             transpose: Boolean = false): Levels = {
+    val out = scala.collection.mutable.ArrayBuffer[Map[Long, Double]](Map(seed -> 1.0))
     while (out.size <= maxLevel && out.last.nonEmpty)
-      out += local.push(out.last.filter(_._2 >= prune), c)
+      out += lg.push(out.last, c, transpose).filter(_._2 >= prune)
     out.toIndexedSeq
   }
 
-  /** Multi-seed reverse expansion: given seeds `(key, node)` each carrying
-    * mass 1 at level 0, returns `(key, level, node, h)` for levels
-    * 0..maxLevel where `h = h^{(level)}(node, seed(key))`. Entries below
-    * `prune` are dropped after each aggregation (SLING-style truncation).
-    *
-    * One distributed job per level; lineage is cut with localCheckpoint so
-    * deep expansions do not accumulate Catalyst plans.
+  /** Reverse lists `levels(_, w, c, maxLevel, prune, transpose = true)` of
+    * every seed `w`, computed in one Spark job over the broadcast CSR and
+    * collected into a driver-side index.
     */
-  def reverseExpand(g: Graph, seeds: DataFrame, c: Double, maxLevel: Int,
-                    prune: Double): DataFrame = {
-    val spark = g.spark
-    val sqrtC = math.sqrt(c)
-    var state = seeds.select(col("key"), lit(0).as("level"), col("node"), lit(1.0).as("h"))
-      .localCheckpoint(true)
-    var acc = state
-    var l   = 0
-    var n   = state.count()
-    while (l < maxLevel && n > 0) {
-      state = g.edgesWithInDeg
-        .join(state.withColumnRenamed("node", "snode"), col("src") === col("snode"))
-        .select(col("key"), (col("level") + 1).as("level"), col("dst").as("node"),
-          (lit(sqrtC) * col("h") / col("din")).as("contrib"))
-        .groupBy("key", "level", "node").agg(sum("contrib").as("h"))
-        .where(col("h") >= prune)
-        .localCheckpoint(true)
-      n = state.count()
-      if (n > 0) acc = acc.unionByName(state)
-      l += 1
+  def reverseLists(g: Graph, seeds: Seq[Long], c: Double, maxLevel: Int,
+                   prune: Double): Map[Long, Levels] = {
+    val bc = g.localBroadcast
+    g.spark.sparkContext.parallelize(seeds)
+      .map(w => w -> levels(bc.value, w, c, maxLevel, prune, transpose = true))
+      .collect().toMap
+  }
+
+  /** Index cardinality of [[reverseLists]]: its entries at levels `>= 1`. */
+  def rows(lists: Map[Long, Levels]): Long =
+    lists.valuesIterator.map(_.iterator.drop(1).map(_.size.toLong).sum).sum
+
+  /** Equation 3 over forward levels `hU` of `u` (already pruned):
+    * `s(u, v) = sum_{l>=1} sum_w hU(l)(w) * eta(w) * rev(w)(l)(v)`, with
+    * `s(u, u) = 1`.
+    */
+  def decomposition(u: Long, hU: Levels, eta: Map[Long, Double],
+                    rev: Long => Levels): Map[Long, Double] = {
+    val acc = scala.collection.mutable.HashMap.empty[Long, Double]
+    for (l <- 1 until hU.size; (w, h) <- hU(l)) {
+      val lists = rev(w)
+      if (l < lists.size) {
+        val hue = h * eta.getOrElse(w, 1.0)
+        lists(l).foreach { case (v, hv) => acc.update(v, acc.getOrElse(v, 0.0) + hue * hv) }
+      }
     }
-    acc
+    acc.toMap - u + (u -> 1.0)
   }
 }

@@ -1,7 +1,5 @@
 package repro.baselines
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 import repro.graph.Graph
 
 /** SLING [31] (Section 2.2): index-based single-source SimRank via
@@ -15,49 +13,29 @@ import repro.graph.Graph
   */
 object Sling {
 
-  /** @param levels `(key = w, level, node = v, h)` reverse hitting lists
+  /** @param lists  reverse lists: `lists(w)(l)` maps `v` to `h^{(l)}(v, w) >= theta`
     * @param rows   index cardinality — the memory-consumption proxy
     */
-  final case class Index(levels: DataFrame, eta: Map[Long, Double], theta: Double,
-                         maxLevel: Int, rows: Long, buildMillis: Long)
+  final case class Index(lists: Map[Long, PushOps.Levels], eta: Map[Long, Double],
+                         theta: Double, maxLevel: Int, rows: Long, buildMillis: Long)
 
   def buildIndex(g: Graph, theta: Double, c: Double, etaSamples: Int = 300,
                  seed: Long = 7L): Index = {
     val t0 = System.nanoTime()
     val maxLevel = math.max(1,
       math.floor(math.log(1.0 / theta) / math.log(1.0 / math.sqrt(c))).toInt)
-    val seeds = g.edges.sparkSession.range(g.numNodes)
-      .select(col("id").as("key"), col("id").as("node"))
-    val levels = PushOps.reverseExpand(g, seeds, c, maxLevel, theta)
-      .where(col("level") >= 1)
-      .localCheckpoint(true)
-    val rows = levels.count()
+    val lists = PushOps.reverseLists(g, 0L until g.numNodes, c, maxLevel, theta)
     val eta = Eta.estimate(g, etaSamples, c, maxLevel + 10, seed)
       .collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
-    Index(levels, eta, theta, maxLevel, rows, (System.nanoTime() - t0) / 1000000)
+    Index(lists, eta, theta, maxLevel, PushOps.rows(lists), (System.nanoTime() - t0) / 1000000)
   }
 
   /** Single-source query: forward push from `u` with the same truncation
-    * threshold, then join the pruned `h^{(l)}(u, w)` support against the
-    * reverse lists of those `w`.
+    * threshold, then look up the reverse lists of the pruned support
+    * `h^{(l)}(u, w)`.
     */
   def query(g: Graph, idx: Index, u: Long, c: Double): Map[Long, Double] = {
-    val spark = g.spark
-    import spark.implicits._
-    val hU = PushOps.forwardPush(g, u, c, idx.maxLevel, idx.theta)
-    val rows = for {
-      (hm, l) <- hU.zipWithIndex if l >= 1
-      (w, h)  <- hm if h >= idx.theta
-    } yield (w, l, h * idx.eta.getOrElse(w, 1.0))
-    if (rows.isEmpty) return Map(u -> 1.0)
-    val uDf = rows.toDF("w", "l", "hue")
-    val scores = idx.levels
-      .join(broadcast(uDf), col("key") === col("w") && col("level") === col("l"))
-      .select(col("node"), (col("hue") * col("h")).as("contrib"))
-      .groupBy("node").agg(sum("contrib").as("s"))
-      .collect()
-      .map(r => r.getLong(0) -> r.getDouble(1))
-      .toMap
-    scores - u + (u -> 1.0)
+    val hU = PushOps.levels(g.local, u, c, idx.maxLevel, idx.theta)
+    PushOps.decomposition(u, hU, idx.eta, idx.lists)
   }
 }

@@ -1,6 +1,5 @@
 package repro.baselines
 
-import org.apache.spark.sql.functions._
 import repro.graph.Graph
 
 /** TopSim [15] (Section 2.2): index-free. Expands a truncated random-walk
@@ -25,8 +24,6 @@ object TopSim {
                           c: Double = 0.6)
 
   def query(g: Graph, u: Long, p: Params): Map[Long, Double] = {
-    val spark = g.spark
-    import spark.implicits._
     val local = g.local
 
     // Truncated forward expansion: h^{(l)}(u, .) with TopSim's pruning.
@@ -38,21 +35,14 @@ object TopSim {
       levels += local.push(expandable, p.c).toSeq.sortBy { case (v, h) => (-h, v) }.take(p.H).toMap
     }
 
-    // Reverse pass from the retained (level, w) meeting candidates; no
-    // last-meeting correction — TopSim counts re-meetings.
-    val seeds: Seq[(Long, Long, Int, Double)] = (for {
-      (hm, lvl) <- levels.zipWithIndex if lvl >= 1
-      (w, h)    <- hm
-    } yield (lvl.toLong * (g.numNodes + 1) + w, w, lvl, h)).toSeq
-    if (seeds.isEmpty) return Map(u -> 1.0)
-    val seedDf = seeds.map { case (k, w, _, _) => (k, w) }.toDF("key", "node")
-    val hUDf   = seeds.map { case (k, _, lvl, h) => (k, lvl, h) }.toDF("ukey", "ulvl", "hu")
-    val expanded = PushOps.reverseExpand(g, seedDf, p.c, levels.size - 1, p.eta)
-    val scores = expanded
-      .join(broadcast(hUDf), col("key") === col("ukey") && col("level") === col("ulvl"))
-      .select(col("node"), (col("hu") * col("h")).as("contrib"))
-      .groupBy("node").agg(sum("contrib").as("s"))
-      .collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
-    scores - u + (u -> 1.0)
+    // Reverse pass from each retained (lvl, w) meeting candidate down to
+    // level lvl; no last-meeting correction — TopSim counts re-meetings.
+    val acc = scala.collection.mutable.HashMap.empty[Long, Double]
+    for (lvl <- 1 until levels.size; (w, h) <- levels(lvl)) {
+      val rev = PushOps.levels(local, w, p.c, lvl, p.eta, transpose = true)
+      if (lvl < rev.size)
+        rev(lvl).foreach { case (v, hv) => acc.update(v, acc.getOrElse(v, 0.0) + h * hv) }
+    }
+    acc.toMap - u + (u -> 1.0)
   }
 }

@@ -3,7 +3,6 @@ package repro.eval
 import repro.baselines._
 import repro.core.{SimPush, SimPushParams}
 import repro.eval.Datasets.BenchDataset
-import repro.graph.Graph
 
 /** Shared benchmark harness: runs every method at its parameter settings
   * over a query set, measures wall-clock query time, AvgError@50 and
@@ -27,9 +26,6 @@ object Harness {
   )
 
   val K = 50
-
-  /** Build the CSR and the cached views the competitors read, so no row absorbs a cache build. */
-  def warm(g: Graph): Unit = { g.warm(); g.inDeg.count(); g.edgesWithInDeg.count(); () }
 
   private def measure(ds: BenchDataset, truth: Array[Array[Double]], queries: Seq[Long],
                       method: String, setting: String, indexMillis: Long, indexRows: Long,

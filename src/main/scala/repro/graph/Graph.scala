@@ -5,10 +5,11 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
 /** A directed graph as a DataFrame of distinct edges `(src, dst)` with node
-  * ids dense in `[0, numNodes)`. SimPush and every single-source level push
-  * run on the driver CSR copy [[local]]; only the competitors' distributed,
-  * multi-seed work (index builds, ProbeSim probes) joins against the cached
-  * views [[inDeg]] and [[edgesWithInDeg]], built on first use.
+  * ids dense in `[0, numNodes)`. SimPush, ProbeSim, TopSim, SLING and PRSim
+  * answer queries on the driver CSR copy [[local]]; Spark builds the graph,
+  * runs the competitors' index builds and walk sampling over
+  * [[localBroadcast]], and answers READS and TSF queries by joins against
+  * their walk-table indexes.
   */
 final class Graph(
     @transient val spark: SparkSession,
@@ -18,18 +19,15 @@ final class Graph(
 
   lazy val numEdges: Long = edges.count()
 
-  /** `(node, din)` for every node with at least one incoming edge. */
+  /** `(node, din)` for every node with at least one incoming edge; read only by simbench's `unpersist`. */
   lazy val inDeg: DataFrame =
     edges.groupBy(col("dst").as("node")).agg(count(lit(1)).as("din")).cache()
 
-  /** `(node, dout)` for every node with at least one outgoing edge; unread, kept for simbench. */
+  /** `(node, dout)` for every node with at least one outgoing edge; read only by simbench's `unpersist`. */
   lazy val outDeg: DataFrame =
     edges.groupBy(col("src").as("node")).agg(count(lit(1)).as("dout")).cache()
 
-  /** Edges enriched with the in-degree of their destination. The quantity
-    * `sqrt(c) * h / din` is the push normalizer of every propagation step
-    * (a walk leaves `dst` toward a uniform in-neighbor `src`).
-    */
+  /** `(src, dst, din)`: edges with their destination's in-degree; read only by simbench's `unpersist`. */
   lazy val edgesWithInDeg: DataFrame = {
     val d = inDeg.withColumnRenamed("node", "dnode")
     edges
@@ -38,8 +36,8 @@ final class Graph(
       .cache()
   }
 
-  /** Driver-side CSR copy: runs SimPush and the single-source pushes and,
-    * as [[localBroadcast]], the competitors' walk simulation. Materialized
+  /** Driver-side CSR copy: runs the push-based queries and, as
+    * [[localBroadcast]], the competitors' index builds and walk simulation. Materialized
     * lazily; the graphs in this repro fit comfortably. Its ids are `Int`, so
     * `numNodes` must be too.
     */
@@ -51,13 +49,13 @@ final class Graph(
     LocalGraph.fromEdges(numNodes.toInt, es)
   }
 
-  /** [[local]] broadcast to executors for the walk jobs, once per graph.
+  /** [[local]] broadcast to executors for the index and walk jobs, once per graph.
     * Bind it to a local val before a closure, so that tasks never serialize
     * the `Graph` itself.
     */
   @transient lazy val localBroadcast: Broadcast[LocalGraph] = spark.sparkContext.broadcast(local)
 
-  /** Build the CSR [[local]], all that SimPush reads (used before timing queries). */
+  /** Build the CSR [[local]], all that a push-based query reads (used before timing queries). */
   def warm(): Unit = { local; () }
 }
 

@@ -1,5 +1,9 @@
 package repro
 
+import java.util.concurrent.{CountDownLatch, TimeUnit}
+import java.util.concurrent.atomic.AtomicInteger
+
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -16,6 +20,38 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** Number of Spark jobs that `body` submits from this thread. Its jobs are
+    * tagged with a local property; a marker job submitted after `body` is
+    * awaited on the listener bus, so every earlier job start has been seen.
+    */
+  def sparkJobsIn(body: => Unit): Int = {
+    val sc    = spark.sparkContext
+    val key   = "repro.jobCount"
+    val tag   = java.util.UUID.randomUUID().toString
+    val jobs  = new AtomicInteger(0)
+    val drain = new CountDownLatch(1)
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        Option(e.properties).map(_.getProperty(key)).orNull match {
+          case `tag`                      => jobs.incrementAndGet()
+          case t if t == tag + ":marker" => drain.countDown()
+          case _                          =>
+        }
+    }
+    sc.addSparkListener(listener)
+    try {
+      sc.setLocalProperty(key, tag)
+      body
+      sc.setLocalProperty(key, tag + ":marker")
+      sc.parallelize(Seq(1), 1).count()
+      assert(drain.await(60, TimeUnit.SECONDS), "marker job never reached the listener")
+      jobs.get
+    } finally {
+      sc.setLocalProperty(key, null)
+      sc.removeSparkListener(listener)
+    }
+  }
 }
 
 object SparkSpec {

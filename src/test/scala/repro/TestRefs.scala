@@ -31,6 +31,32 @@ object TestRefs {
     out
   }
 
+  /** First-meeting probabilities of Equation 5 for one fixed walk
+    * `walk = (w_0, .., w_T)`: for every start `v`, the sum over `j in [1, T]`
+    * of the probability that a \sqrt{c}-walk from `v` is at `w_j` at step `j`
+    * and was at no `w_i` at step `i in [1, j)`. A forward walk distribution
+    * from `v` records and then zeroes its mass on `w_j` at step `j`.
+    */
+  def firstMeetingDP(lg: LocalGraph, walk: Array[Int], c: Double): Array[Double] = {
+    val sqrtC = math.sqrt(c)
+    Array.tabulate(lg.n) { v =>
+      var p   = new Array[Double](lg.n)
+      var met = 0.0
+      p(v) = 1.0
+      for (j <- 1 until walk.length) {
+        val q = new Array[Double](lg.n)
+        for (y <- 0 until lg.n if p(y) > 0 && lg.inDeg(y) > 0) {
+          val w = sqrtC * p(y) / lg.inDeg(y)
+          lg.inNeighbors(y).foreach(x => q(x) += w)
+        }
+        met += q(walk(j))
+        q(walk(j)) = 0.0
+        p = q
+      }
+      met
+    }
+  }
+
   /** In-neighbor sets *within G_u* per (level, node): `I^T` of Section 4.2.
     * Source-Push expands every node of levels 0..L-1, so a level-`l` node
     * keeps all of its in-neighbors in `lg`, one level up.

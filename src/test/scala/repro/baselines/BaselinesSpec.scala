@@ -22,11 +22,11 @@ class BaselinesSpec extends SparkSpec {
 
   // ---------------- PushOps ----------------
 
-  test("forwardPush with no pruning equals the hitting DP") {
+  test("forward levels with no pruning equal the hitting DP") {
     for (name <- Seq("toy", "er60")) {
       val g  = graph(name)
       val u  = firstQuery(name)
-      val hs = PushOps.forwardPush(g, u, c, maxLevel = 4, prune = 0.0)
+      val hs = PushOps.levels(g.local, u, c, maxLevel = 4, prune = 0.0)
       val dp = TestRefs.hittingDP(g.local, u, c, 4)
       for (l <- hs.indices; v <- 0 until g.local.n) {
         assert(math.abs(hs(l).getOrElse(v.toLong, 0.0) - dp(l)(v)) < 1e-9, s"$name l=$l v=$v")
@@ -34,16 +34,17 @@ class BaselinesSpec extends SparkSpec {
     }
   }
 
-  test("reverseExpand from a single seed equals reverse hitting probabilities") {
-    val g = graph("toy")
-    import spark.implicits._
-    val w = (0 until g.local.n).find(g.local.outDeg(_) > 0).get
-    val seeds = Seq((w.toLong, w.toLong)).toDF("key", "node")
-    val rows = PushOps.reverseExpand(g, seeds, c, maxLevel = 3, prune = 0.0)
-      .collect().map(r => (r.getInt(1), r.getLong(2)) -> r.getDouble(3)).toMap
-    for (l <- 1 to 3; v <- 0 until g.local.n) {
-      val expect = TestRefs.hittingDP(g.local, v, c, l)(l)(w)
-      assert(math.abs(rows.getOrElse((l, v.toLong), 0.0) - expect) < 1e-9, s"l=$l v=$v")
+  test("transposed levels from a single seed equal reverse hitting probabilities on every graph") {
+    for ((name, g) <- TestGraphs.all(spark)) {
+      val lg = g.local
+      val dp = (0 until lg.n).map(v => TestRefs.hittingDP(lg, v, c, 3))
+      for (w <- (0 until lg.n).filter(lg.outDeg(_) > 0).take(3)) {
+        val rows = PushOps.levels(lg, w, c, maxLevel = 3, prune = 0.0, transpose = true)
+        for (l <- 1 to 3; v <- 0 until lg.n) {
+          val got = rows.lift(l).flatMap(_.get(v.toLong)).getOrElse(0.0)
+          assert(math.abs(got - dp(v)(l)(w)) < 1e-12, s"$name w=$w l=$l v=$v")
+        }
+      }
     }
   }
 
@@ -85,6 +86,24 @@ class BaselinesSpec extends SparkSpec {
     est.values.foreach(v => assert(v >= 0.0 && v <= 1.0 + 1e-9))
   }
 
+  for (name <- Seq("cycle8", "er60", "pl80")) {
+    test(s"ProbeSim probe equals the first-meeting DP on $name") {
+      val lg = graph(name).local
+      val u  = firstQuery(name)
+      val walks = (0L until 200L).iterator
+        .map(id => lg.sqrtCWalk(u, c, 10, new java.util.SplittableRandom(RandomWalks.mix(5, id))))
+        .filter(_.length >= 4).take(5).toSeq
+      assert(walks.size == 5, s"only ${walks.size} walks of 3+ steps")
+      walks.foreach { walk =>
+        val got = ProbeSim.probe(lg, walk, c, prune = 0.0)
+        val dp  = TestRefs.firstMeetingDP(lg, walk, c)
+        for (v <- 0 until lg.n)
+          assert(math.abs(got.getOrElse(v.toLong, 0.0) - dp(v)) < 1e-12,
+            s"walk=${walk.mkString(",")} v=$v: ${got.getOrElse(v.toLong, 0.0)} vs ${dp(v)}")
+      }
+    }
+  }
+
   test("ProbeSim on a dead-end query returns only the query node") {
     val g = TestGraphs.star(spark)
     assert(ProbeSim.query(g, 3, ProbeSim.Params(numWalks = 100)) == Map(3L -> 1.0))
@@ -95,12 +114,10 @@ class BaselinesSpec extends SparkSpec {
   test("SLING index reverse lists match exact hitting probabilities (tight theta)") {
     val g   = graph("toy")
     val idx = Sling.buildIndex(g, theta = 1e-4, c = c)
-    val rows = idx.levels.collect()
-      .map(r => (r.getLong(0), r.getInt(1), r.getLong(2)) -> r.getDouble(3)).toMap
     for (w <- 0 until g.local.n; l <- 1 to 3; v <- 0 until g.local.n) {
       val expect = TestRefs.hittingDP(g.local, v, c, l)(l)(w)
       if (expect > 0.01) {
-        val got = rows.getOrElse((w.toLong, l, v.toLong), 0.0)
+        val got = idx.lists(w.toLong).lift(l).flatMap(_.get(v.toLong)).getOrElse(0.0)
         assert(math.abs(got - expect) < 0.005, s"w=$w l=$l v=$v: $got vs $expect")
       }
     }
@@ -148,6 +165,22 @@ class BaselinesSpec extends SparkSpec {
     val pr = PrSim.buildIndex(g, theta = 0.05, c = c, j0 = 5, etaSamples = 20)
     val byDeg = (0 until g.local.n).sortBy(v => (-g.local.inDeg(v), v)).take(5).map(_.toLong).toSet
     assert(pr.hubs == byDeg)
+  }
+
+  // ---------------- Spark-free queries ----------------
+
+  test("ProbeSim, TopSim, SLING and PRSim queries submit no Spark job") {
+    val g = graph("er60"); val u = firstQuery("er60")
+    g.warm()
+    val sl = Sling.buildIndex(g, theta = 0.01, c = c, etaSamples = 50)
+    val pr = PrSim.buildIndex(g, theta = 0.01, c = c, j0 = 7, etaSamples = 50)
+    val jobs = Seq(
+      "ProbeSim" -> sparkJobsIn(ProbeSim.query(g, u, ProbeSim.Params(numWalks = 100))),
+      "TopSim"   -> sparkJobsIn(TopSim.query(g, u, TopSim.Params(T = 3, invH = 100))),
+      "SLING"    -> sparkJobsIn(Sling.query(g, sl, u, c)),
+      "PRSim"    -> sparkJobsIn(PrSim.query(g, pr, u, c)),
+    )
+    assert(jobs.forall(_._2 == 0), s"Spark jobs per query: $jobs")
   }
 
   // ---------------- READS ----------------
