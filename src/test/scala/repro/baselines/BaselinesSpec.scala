@@ -34,7 +34,7 @@ class BaselinesSpec extends SparkSpec {
     }
   }
 
-  test("transposed levels from a single seed equal reverse hitting probabilities on every graph") {
+  test("transposed levels equal reverse hitting probabilities on every graph") {
     for ((name, g) <- TestGraphs.all(spark)) {
       val lg = g.local
       val dp = (0 until lg.n).map(v => TestRefs.hittingDP(lg, v, c, 3))
