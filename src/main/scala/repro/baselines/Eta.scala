@@ -2,7 +2,6 @@ package repro.baselines
 
 import java.util.SplittableRandom
 
-import org.apache.spark.sql.DataFrame
 import repro.graph.Graph
 
 /** Monte-Carlo estimation of the last-meeting probability
@@ -13,9 +12,9 @@ import repro.graph.Graph
   */
 object Eta {
 
-  /** @return DataFrame `(node Long, eta Double)` for every node. */
+  /** @return `eta(node)` for every node */
   def estimate(g: Graph, samplesPerNode: Int, c: Double, maxSteps: Int,
-               seed: Long): DataFrame = {
+               seed: Long): Map[Long, Double] = {
     val spark = g.spark
     import spark.implicits._
     val bc = g.localBroadcast
@@ -29,6 +28,6 @@ object Eta {
         i += 1
       }
       (v, 1.0 - meet.toDouble / samplesPerNode)
-    }.toDF("node", "eta")
+    }.collect().toMap
   }
 }

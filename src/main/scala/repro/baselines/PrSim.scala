@@ -34,7 +34,6 @@ object PrSim {
       .take(j0).map(_.toLong)
     val hubLists = PushOps.reverseLists(g, hubs, c, maxLevel, theta)
     val eta = Eta.estimate(g, etaSamples, c, maxLevel + 10, seed)
-      .collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
     Index(hubLists, eta, theta, maxLevel, PushOps.rows(hubLists), (System.nanoTime() - t0) / 1000000)
   }
 

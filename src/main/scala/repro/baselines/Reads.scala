@@ -2,8 +2,6 @@ package repro.baselines
 
 import java.util.SplittableRandom
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 import repro.graph.Graph
 
 /** READS [12] (Section 2.2): index-based. Pre-computes `r` \sqrt{c}-walks of
@@ -18,37 +16,34 @@ import repro.graph.Graph
   */
 object Reads {
 
-  final case class Index(walks: DataFrame, r: Int, t: Int, rows: Long, buildMillis: Long)
+  /** @param walks `walks(v * r + i)` is walk `i` of node `v`; index `l` is its
+    *              position at step `l` (index 0 = `v`)
+    * @param rows  total walk length, step 0 included
+    */
+  final case class Index(walks: Array[Array[Int]], r: Int, t: Int, rows: Long, buildMillis: Long)
 
   def buildIndex(g: Graph, r: Int, t: Int, c: Double, seed: Long = 31L): Index = {
-    val spark = g.spark
-    import spark.implicits._
     val t0 = System.nanoTime()
-    val bc = g.localBroadcast
-    val n  = g.numNodes
-    val walks = spark.range(n * r).as[Long].flatMap { id =>
-      val v    = (id / r).toInt
-      val widx = (id % r).toInt
-      val rng  = new SplittableRandom(RandomWalks.mix(seed, id))
-      val walk = bc.value.sqrtCWalk(v, c, t, rng)
-      // step 0 is the start node itself — kept, it never matches a distinct query
-      walk.iterator.zipWithIndex.map { case (node, step) => (v.toLong, widx, step, node.toLong) }.toSeq
-    }.toDF("node", "widx", "step", "pos")
-      .localCheckpoint(true)
-    Index(walks, r, t, walks.count(), (System.nanoTime() - t0) / 1000000)
+    val lg = g.local
+    val walks = Array.tabulate(Math.multiplyExact(lg.n, r)) { id =>
+      lg.sqrtCWalk(id / r, c, t, new SplittableRandom(RandomWalks.mix(seed, id.toLong)))
+    }
+    Index(walks, r, t, walks.iterator.map(_.length.toLong).sum, (System.nanoTime() - t0) / 1000000)
   }
 
   def query(g: Graph, idx: Index, u: Long): Map[Long, Double] = {
-    val uw = idx.walks.where(col("node") === u && col("step") >= 1)
-      .select(col("widx").as("uwidx"), col("step").as("ustep"), col("pos").as("upos"))
-    val scores = idx.walks.where(col("node") =!= u && col("step") >= 1)
-      .join(broadcast(uw),
-        col("widx") === col("uwidx") && col("step") === col("ustep") && col("pos") === col("upos"))
-      .select("node", "widx").distinct() // a pair of walks meets at most once
-      .groupBy("node").agg(count(lit(1)).as("meets"))
-      .collect()
-      .map(r => r.getLong(0) -> r.getLong(1).toDouble / idx.r)
-      .toMap
-    scores - u + (u -> 1.0)
+    val r     = idx.r
+    val uInt  = u.toInt
+    val meets = new Array[Int](g.local.n)
+    for (v <- meets.indices if v != uInt; i <- 0 until r) {
+      val uw  = idx.walks(uInt * r + i)
+      val vw  = idx.walks(v * r + i)
+      val len = math.min(uw.length, vw.length)
+      var s   = 1 // step 0 is the start node itself; a pair of walks meets at most once
+      while (s < len && uw(s) != vw(s)) s += 1
+      if (s < len) meets(v) += 1
+    }
+    meets.indices.iterator.filter(meets(_) > 0)
+      .map(v => v.toLong -> meets(v).toDouble / r).toMap + (u -> 1.0)
   }
 }

@@ -26,7 +26,6 @@ object Sling {
       math.floor(math.log(1.0 / theta) / math.log(1.0 / math.sqrt(c))).toInt)
     val lists = PushOps.reverseLists(g, 0L until g.numNodes, c, maxLevel, theta)
     val eta = Eta.estimate(g, etaSamples, c, maxLevel + 10, seed)
-      .collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
     Index(lists, eta, theta, maxLevel, PushOps.rows(lists), (System.nanoTime() - t0) / 1000000)
   }
 

@@ -2,8 +2,6 @@ package repro.baselines
 
 import java.util.SplittableRandom
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 import repro.graph.Graph
 
 /** TSF [28] (Section 2.2): index-based. The index holds `Rg` *one-way
@@ -20,74 +18,59 @@ import repro.graph.Graph
   */
 object Tsf {
 
-  /** @param positions `(gid, step, node, pos)` — node's position after `step`
-    *                  moves in one-way graph `gid`, steps 1..t
+  /** @param positions `positions(gid)(step)(v)` is node `v`'s position after
+    *                  `step` moves in one-way graph `gid` (step 0 = `v`), or
+    *                  -1 once its chain has hit a node with no in-neighbor
+    * @param rows      live positions at steps 1..t
     */
-  final case class Index(positions: DataFrame, rg: Int, t: Int, rows: Long, buildMillis: Long)
+  final case class Index(positions: Array[Array[Array[Int]]], rg: Int, t: Int, rows: Long,
+                         buildMillis: Long)
 
   def buildIndex(g: Graph, rg: Int, t: Int, seed: Long = 37L): Index = {
-    val spark = g.spark
-    import spark.implicits._
-    val t0 = System.nanoTime()
-    val bc = g.localBroadcast
-    val n  = g.numNodes
-    val positions = spark.range(n * rg).as[Long].flatMap { id =>
-      val v   = (id / rg).toInt
-      val gid = (id % rg).toInt
-      val lg  = bc.value
-      // Follow the deterministic one-way chain: each node's sampled
-      // in-neighbor depends only on (seed, gid, node).
-      var cur = v
-      val out = scala.collection.mutable.ArrayBuffer.empty[(Int, Int, Long, Long)]
-      var step = 1
-      var alive = true
-      while (alive && step <= t) {
-        if (lg.inDeg(cur) == 0) alive = false
-        else {
-          val rng = new SplittableRandom(RandomWalks.mix(seed + gid, cur.toLong))
-          cur = lg.randomInNeighbor(cur, rng)
-          out += ((gid, step, v.toLong, cur.toLong))
-          step += 1
-        }
+    val t0    = System.nanoTime()
+    val lg    = g.local
+    val start = Array.range(0, lg.n)
+    val positions = Array.tabulate(rg) { gid =>
+      // each node's sampled in-neighbor depends only on (seed, gid, node)
+      val next = start.map { w =>
+        if (lg.inDeg(w) == 0) -1
+        else lg.randomInNeighbor(w, new SplittableRandom(RandomWalks.mix(seed + gid, w.toLong)))
       }
-      out.toSeq
-    }.toDF("gid", "step", "node", "pos")
-      .localCheckpoint(true)
-    Index(positions, rg, t, positions.count(), (System.nanoTime() - t0) / 1000000)
+      Array.iterate(start, t + 1)(_.map(p => if (p < 0) -1 else next(p)))
+    }
+    val rows = positions.iterator.flatMap(_.iterator.drop(1)).map(_.count(_ >= 0).toLong).sum
+    Index(positions, rg, t, rows, (System.nanoTime() - t0) / 1000000)
   }
 
   /** @param rq reuses of each one-way graph with a re-randomized first hop */
   def query(g: Graph, idx: Index, u: Long, rq: Int, c: Double, seed: Long = 41L): Map[Long, Double] = {
-    val spark = g.spark
-    import spark.implicits._
     val local = g.local
     val uInt  = u.toInt
     if (local.inDeg(uInt) == 0) return Map(u -> 1.0)
 
     // u's Rg*Rq walks: random first hop from the true graph, then the
-    // deterministic one-way chain of that hop (its position after s-1 steps).
-    val rng = new SplittableRandom(RandomWalks.mix(seed, u))
-    val firstHops = for { gid <- 0 until idx.rg; q <- 0 until rq } yield
-      (gid, q, local.randomInNeighbor(uInt, rng).toLong)
-    val hopDf = firstHops.toDF("hgid", "q", "hop")
-
-    // u position at step 1 is the hop itself; at step s>=2 it is the hop's
-    // one-way position after s-1 steps.
-    val uPosLater = idx.positions
-      .join(broadcast(hopDf), col("gid") === col("hgid") && col("node") === col("hop"))
-      .select(col("gid").as("ugid"), col("q"), (col("step") + 1).as("ustep"), col("pos").as("upos"))
-    val uPos1 = hopDf.select(col("hgid").as("ugid"), col("q"), lit(1).as("ustep"), col("hop").as("upos"))
-    val uPos  = uPos1.unionByName(uPosLater).where(col("ustep") <= idx.t)
-      .localCheckpoint(true)
-
-    val scores = idx.positions.where(col("node") =!= u)
-      .join(broadcast(uPos),
-        col("gid") === col("ugid") && col("step") === col("ustep") && col("pos") === col("upos"))
-      .select(col("node"), pow(lit(c), col("step")).as("wgt"))
-      .groupBy("node").agg(sum("wgt").as("s"))
-      .collect()
-      .map(r => r.getLong(0) -> r.getDouble(1) / (idx.rg * rq))
-      .toMap
-    scores - u + (u -> 1.0)
+    // deterministic one-way chain of that hop, so u's walk is at step s
+    // where its hop is after s-1 moves.
+    val rng   = new SplittableRandom(RandomWalks.mix(seed, u))
+    val sum   = new Array[Double](local.n)
+    val walks = new Array[Int](local.n) // u's walks at each node, this step
+    for (steps <- idx.positions) {
+      val hops = Array.fill(rq)(local.randomInNeighbor(uInt, rng))
+      for (s <- 1 to idx.t) {
+        val uPos = hops.map(h => steps(s - 1)(h)).filter(_ >= 0)
+        uPos.foreach(p => walks(p) += 1)
+        val at  = steps(s)
+        val wgt = math.pow(c, s)
+        var v = 0
+        while (v < at.length) {
+          val p = at(v)
+          if (p >= 0 && walks(p) > 0 && v != uInt) sum(v) += walks(p) * wgt
+          v += 1
+        }
+        uPos.foreach(walks(_) = 0)
+      }
+    }
+    sum.indices.iterator.filter(sum(_) > 0)
+      .map(v => v.toLong -> sum(v) / (idx.rg * rq)).toMap + (u -> 1.0)
   }
 }

@@ -44,12 +44,4 @@ object Metrics {
     truth.indices.filter(_ != u)
       .map(v => math.abs(est.getOrElse(v.toLong, 0.0) - truth(v)))
       .foldLeft(0.0)(math.max)
-
-  /** Max one-sided overestimate `max_v (est - truth)` — SimPush guarantees
-    * `\tilde s <= s` (Lemmas 3-4), so this should be ~0 up to float noise.
-    */
-  def maxOverestimate(truth: Array[Double], est: Map[Long, Double], u: Int): Double =
-    truth.indices.filter(_ != u)
-      .map(v => est.getOrElse(v.toLong, 0.0) - truth(v))
-      .foldLeft(0.0)(math.max)
 }

@@ -5,11 +5,9 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
 /** A directed graph as a DataFrame of distinct edges `(src, dst)` with node
-  * ids dense in `[0, numNodes)`. SimPush, ProbeSim, TopSim, SLING and PRSim
-  * answer queries on the driver CSR copy [[local]]; Spark builds the graph,
-  * runs the competitors' index builds and walk sampling over
-  * [[localBroadcast]], and answers READS and TSF queries by joins against
-  * their walk-table indexes.
+  * ids dense in `[0, numNodes)`. Every method answers queries on the driver
+  * CSR copy [[local]]; Spark builds the graph and runs the SLING, PRSim and
+  * η index jobs and Monte-Carlo SimRank over [[localBroadcast]].
   */
 final class Graph(
     @transient val spark: SparkSession,

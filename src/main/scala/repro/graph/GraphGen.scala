@@ -16,6 +16,12 @@ import org.apache.spark.sql.types.LongType
   */
 object GraphGen {
 
+  /** Partitions of every draw. `rand(seed)` seeds each partition with
+    * `seed + partitionIndex`, so a fixed count keeps the drawn edges, and
+    * every stand-in, independent of the host's core count.
+    */
+  private val DrawPartitions = 4
+
   /** Power-rank draw in [0, n): `floor(n * u^q)` puts probability
     * `((k+1)^{1/q} - k^{1/q}) / n^{1/q}` on rank `k` — a heavy-tailed
     * profile whose head mass `n^{-1/q}` stays bounded, so endpoint draws do
@@ -38,7 +44,7 @@ object GraphGen {
                seed: Long = 7, undirected: Boolean = false): Graph = {
     val a = coprimeOf(n) // affine permutation decorrelates hub identities
     def generate(draws: Long): Graph = {
-      val rows = spark.range(draws).select(
+      val rows = spark.range(0, draws, 1, DrawPartitions).select(
         powerRank(n, alpha, rand(seed)).as("srcRank"),
         powerRank(n, alpha, rand(seed + 1)).as("dstRank"),
       )
@@ -61,7 +67,7 @@ object GraphGen {
   def erdosRenyi(spark: SparkSession, n: Long, m: Long, seed: Long = 11,
                  undirected: Boolean = false): Graph = {
     val draws = (m * 1.3).toLong
-    val e = spark.range(draws).select(
+    val e = spark.range(0, draws, 1, DrawPartitions).select(
       (rand(seed) * n).cast(LongType).as("src"),
       (rand(seed + 1) * n).cast(LongType).as("dst"),
     )

@@ -26,9 +26,6 @@ final class LocalGraph(
   /** In-degree of node `v` in the full graph. */
   def inDeg(v: Int): Int = inOff(v + 1) - inOff(v)
 
-  /** Out-degree of node `v` in the full graph. */
-  def outDeg(v: Int): Int = outOff(v + 1) - outOff(v)
-
   /** In-neighbors of `v` (nodes `x` with an edge `x -> v`). */
   def inNeighbors(v: Int): IndexedSeq[Int] =
     (inOff(v) until inOff(v + 1)).map(inAdj)

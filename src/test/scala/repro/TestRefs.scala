@@ -1,7 +1,10 @@
 package repro
 
+import java.util.SplittableRandom
+
 import scala.collection.mutable
 
+import repro.baselines.RandomWalks
 import repro.core.SourceGraph
 import repro.graph.{Graph, GraphGen, LocalGraph}
 
@@ -10,6 +13,66 @@ import repro.graph.{Graph, GraphGen, LocalGraph}
   * the definitions (no shared code with the implementations under test).
   */
 object TestRefs {
+
+  /** Out-degree of `v`: the length of its out-neighbor list. */
+  def outDeg(lg: LocalGraph, v: Int): Int = lg.outNeighbors(v).size
+
+  /** Max one-sided overestimate `max_v (est - truth)` over `v != u` — SimPush
+    * guarantees `\tilde s <= s` (Lemmas 3-4), so this should be ~0 up to
+    * float noise.
+    */
+  def maxOverestimate(truth: Array[Double], est: Map[Long, Double], u: Int): Double =
+    truth.indices.filter(_ != u)
+      .map(v => est.getOrElse(v.toLong, 0.0) - truth(v))
+      .foldLeft(0.0)(math.max)
+
+  /** READS' estimate by pairing walks one at a time: walk `i` of node `v` is
+    * the \sqrt{c}-walk seeded with `mix(seed, v * r + i)`; `s(u, v)` is the
+    * number of `i` whose walks of `u` and `v` share a node at a step `>= 1`,
+    * over `r`. Nodes with no meeting are absent; `u` maps to 1.
+    */
+  def readsPairing(lg: LocalGraph, u: Int, r: Int, t: Int, c: Double, seed: Long): Map[Long, Double] = {
+    def walk(v: Int, i: Int) = lg.sqrtCWalk(v, c, t, new SplittableRandom(RandomWalks.mix(seed, v.toLong * r + i)))
+    val uWalks = (0 until r).map(walk(u, _))
+    (0 until lg.n).filter(_ != u).flatMap { v =>
+      val meets = (0 until r).count { i =>
+        val (a, b) = (uWalks(i), walk(v, i))
+        (1 until math.min(a.length, b.length)).exists(s => a(s) == b(s))
+      }
+      if (meets > 0) Some(v.toLong -> meets.toDouble / r) else None
+    }.toMap + (u.toLong -> 1.0)
+  }
+
+  /** TSF's estimate with its two flaws, by following every chain step by
+    * step: in one-way graph `gid` node `w` moves to the in-neighbor drawn by
+    * `mix(indexSeed + gid, w)`. For each `(gid, q)` in order, `u` draws a
+    * first hop from `mix(querySeed, u)` and then follows the hop's chain; a
+    * node `v != u` at `u`'s position at step `l <= t` adds `c^l`, every time.
+    * The sum is over `rg * rq`; nodes with no meeting are absent.
+    */
+  def tsfMeetingSum(lg: LocalGraph, u: Int, rg: Int, rq: Int, t: Int, c: Double,
+                    indexSeed: Long, querySeed: Long): Map[Long, Double] = {
+    if (lg.inDeg(u) == 0) return Map(u.toLong -> 1.0)
+    // positions at steps 1..len of the chain from `from`, up to a dead end
+    def chain(gid: Int, from: Int, len: Int): Seq[Int] = {
+      val out = mutable.ArrayBuffer.empty[Int]
+      var w   = from
+      while (out.size < len && lg.inDeg(w) > 0) {
+        w = lg.randomInNeighbor(w, new SplittableRandom(RandomWalks.mix(indexSeed + gid, w.toLong)))
+        out += w
+      }
+      out.toSeq
+    }
+    val rng = new SplittableRandom(RandomWalks.mix(querySeed, u.toLong))
+    val sum = mutable.Map.empty[Long, Double]
+    for (gid <- 0 until rg; _ <- 0 until rq) {
+      val hop   = lg.randomInNeighbor(u, rng)
+      val uSeen = hop +: chain(gid, hop, t - 1)
+      for (v <- 0 until lg.n if v != u; (p, s) <- chain(gid, v, t).zipWithIndex if s < uSeen.size && uSeen(s) == p)
+        sum.update(v.toLong, sum.getOrElse(v.toLong, 0.0) + math.pow(c, s + 1))
+    }
+    sum.map { case (v, x) => v -> x / (rg * rq) }.toMap + (u.toLong -> 1.0)
+  }
 
   /** Exact hitting probabilities `h^{(l)}(start, v)` in G for levels
     * 0..maxL, by dynamic programming over the walk distribution:

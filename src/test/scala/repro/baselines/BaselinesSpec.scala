@@ -1,8 +1,7 @@
 package repro.baselines
 
-import org.apache.spark.sql.functions._
 import repro.{SparkSpec, TestGraphs, TestRefs}
-import repro.core.TruthCache
+import repro.core.{SimPush, SimPushParams, TruthCache}
 import repro.eval.Metrics
 
 /** Accuracy and structural tests for the six competitor methods.
@@ -38,7 +37,7 @@ class BaselinesSpec extends SparkSpec {
     for ((name, g) <- TestGraphs.all(spark)) {
       val lg = g.local
       val dp = (0 until lg.n).map(v => TestRefs.hittingDP(lg, v, c, 3))
-      for (w <- (0 until lg.n).filter(lg.outDeg(_) > 0).take(3)) {
+      for (w <- (0 until lg.n).filter(TestRefs.outDeg(lg, _) > 0).take(3)) {
         val rows = PushOps.levels(lg, w, c, maxLevel = 3, prune = 0.0, transpose = true)
         for (l <- 1 to 3; v <- 0 until lg.n) {
           val got = rows.lift(l).flatMap(_.get(v.toLong)).getOrElse(0.0)
@@ -53,7 +52,6 @@ class BaselinesSpec extends SparkSpec {
   test("eta estimates are probabilities and match exact never-meet on the cycle") {
     val g   = graph("cycle8")
     val eta = Eta.estimate(g, samplesPerNode = 2000, c, maxSteps = 25, seed = 3)
-      .collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
     eta.values.foreach(v => assert(v >= 0.0 && v <= 1.0))
     // on a directed cycle two walks from the same node move in lockstep and
     // meet at step 1 iff both survive: eta = 1 - c exactly
@@ -63,7 +61,6 @@ class BaselinesSpec extends SparkSpec {
   test("eta is 1 for nodes whose walks die immediately") {
     val g   = TestGraphs.star(spark)
     val eta = Eta.estimate(g, 500, c, 10, seed = 4)
-      .collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
     (1 until 10).foreach(v => assert(eta(v.toLong) == 1.0)) // leaves: no in-edges
   }
 
@@ -169,16 +166,21 @@ class BaselinesSpec extends SparkSpec {
 
   // ---------------- Spark-free queries ----------------
 
-  test("ProbeSim, TopSim, SLING and PRSim queries submit no Spark job") {
+  test("SimPush and all six competitors answer with no Spark job") {
     val g = graph("er60"); val u = firstQuery("er60")
     g.warm()
     val sl = Sling.buildIndex(g, theta = 0.01, c = c, etaSamples = 50)
     val pr = PrSim.buildIndex(g, theta = 0.01, c = c, j0 = 7, etaSamples = 50)
+    val rd = Reads.buildIndex(g, r = 50, t = 10, c = c)
+    val tf = Tsf.buildIndex(g, rg = 20, t = 10)
     val jobs = Seq(
+      "SimPush"  -> sparkJobsIn(SimPush.singleSource(g, u, SimPushParams(0.05))),
       "ProbeSim" -> sparkJobsIn(ProbeSim.query(g, u, ProbeSim.Params(numWalks = 100))),
       "TopSim"   -> sparkJobsIn(TopSim.query(g, u, TopSim.Params(T = 3, invH = 100))),
       "SLING"    -> sparkJobsIn(Sling.query(g, sl, u, c)),
       "PRSim"    -> sparkJobsIn(PrSim.query(g, pr, u, c)),
+      "READS"    -> sparkJobsIn(Reads.query(g, rd, u)),
+      "TSF"      -> sparkJobsIn(Tsf.query(g, tf, u, rq = 10, c = c)),
     )
     assert(jobs.forall(_._2 == 0), s"Spark jobs per query: $jobs")
   }
@@ -198,8 +200,17 @@ class BaselinesSpec extends SparkSpec {
   test("READS index has ~n*r walk starts") {
     val g   = graph("toy")
     val idx = Reads.buildIndex(g, r = 20, t = 5, c = c)
-    val starts = idx.walks.where(col("step") === 0).count()
-    assert(starts == g.numNodes * 20)
+    assert(idx.walks.length == g.numNodes * 20)
+    idx.walks.zipWithIndex.foreach { case (walk, id) => assert(walk(0) == id / 20, s"walk $id") }
+  }
+
+  for (name <- Seq("toy", "er60", "plU60")) {
+    test(s"READS query equals the walk-pairing oracle on $name") {
+      val g   = graph(name)
+      val idx = Reads.buildIndex(g, r = 40, t = 8, c = c, seed = 5)
+      for (u <- Seq(firstQuery(name), g.local.n - 1))
+        assert(Reads.query(g, idx, u) == TestRefs.readsPairing(g.local, u, 40, 8, c, seed = 5), s"u=$u")
+    }
   }
 
   // ---------------- TSF ----------------
@@ -209,9 +220,20 @@ class BaselinesSpec extends SparkSpec {
     val idx = Tsf.buildIndex(g, rg = 3, t = 5)
     val lg  = g.local
     // position after 1 step must be an in-neighbor of the start node
-    idx.positions.where(col("step") === 1).collect().foreach { r =>
-      val (node, pos) = (r.getLong(2).toInt, r.getLong(3).toInt)
-      assert(lg.inNeighbors(node).contains(pos))
+    for (steps <- idx.positions; node <- 0 until lg.n if steps(1)(node) >= 0)
+      assert(lg.inNeighbors(node).contains(steps(1)(node)))
+  }
+
+  for (name <- Seq("toy", "er60", "plU60")) {
+    test(s"TSF query equals the meeting-sum oracle on $name") {
+      val g   = graph(name)
+      val idx = Tsf.buildIndex(g, rg = 12, t = 6, seed = 3)
+      for (u <- Seq(firstQuery(name), g.local.n - 1)) {
+        val got    = Tsf.query(g, idx, u, rq = 4, c = c, seed = 9)
+        val expect = TestRefs.tsfMeetingSum(g.local, u, rg = 12, rq = 4, t = 6, c, indexSeed = 3, querySeed = 9)
+        assert(got.keySet == expect.keySet, s"u=$u")
+        got.foreach { case (v, s) => assert(math.abs(s - expect(v)) < 1e-12, s"u=$u v=$v: $s vs ${expect(v)}") }
+      }
     }
   }
 

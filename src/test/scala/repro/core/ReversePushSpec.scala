@@ -11,7 +11,7 @@ class ReversePushSpec extends SparkSpec {
       val g  = TestGraphs.all(spark).toMap.apply(name)
       val lg = g.local
       // seed node: any node with out-edges
-      val w = (0 until lg.n).find(lg.outDeg(_) > 0).get
+      val w = (0 until lg.n).find(TestRefs.outDeg(lg, _) > 0).get
       for (l <- 1 to 3) {
         val scores = ReversePush.run(g, Map((l, w.toLong) -> 1.0), l, c, epsH = 0.0)
         // expected: h^{(l)}(v, w) for every v — via the forward DP from each v
@@ -35,7 +35,7 @@ class ReversePushSpec extends SparkSpec {
   test("residues at multiple levels combine additively") {
     val g  = TestGraphs.all(spark).toMap.apply("er60")
     val lg = g.local
-    val seeds = (0 until lg.n).filter(lg.outDeg(_) > 0).take(2)
+    val seeds = (0 until lg.n).filter(TestRefs.outDeg(lg, _) > 0).take(2)
     val (w1, w2) = (seeds(0).toLong, seeds(1).toLong)
     val both = ReversePush.run(g, Map((2, w1) -> 0.7, (1, w2) -> 0.4), 2, c, 0.0)
     val a = ReversePush.run(g, Map((2, w1) -> 0.7), 2, c, 0.0)
@@ -49,7 +49,7 @@ class ReversePushSpec extends SparkSpec {
   test("thresholding only loses mass (never adds)") {
     val g = TestGraphs.all(spark).toMap.apply("pl80")
     val lg = g.local
-    val w = (0 until lg.n).maxBy(lg.outDeg)
+    val w = (0 until lg.n).maxBy(TestRefs.outDeg(lg, _))
     val exact  = ReversePush.run(g, Map((3, w.toLong) -> 1.0), 3, c, 0.0)
     val pruned = ReversePush.run(g, Map((3, w.toLong) -> 1.0), 3, c, 0.05)
     pruned.foreach { case (v, s) => assert(s <= exact.getOrElse(v, 0.0) + 1e-12) }

@@ -28,7 +28,7 @@ class SimPushSpec extends SparkSpec {
     assert(worst <= eps + 1e-6, s"max error $worst exceeds eps=$eps")
     // upper side: \tilde s <= s (exact-arithmetic property of the design;
     // 1e-6 float slack, plus truth truncation c^25)
-    val over = Metrics.maxOverestimate(truth(u), r.scores, u)
+    val over = TestRefs.maxOverestimate(truth(u), r.scores, u)
     assert(over <= 1e-5, s"overestimate $over — SimPush must underestimate")
   }
 

@@ -1,7 +1,8 @@
 package repro.graph
 
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec, TestGraphs}
+import repro.{Oracle, SparkSpec, TestGraphs, TestRefs}
+import repro.eval.Datasets
 
 /** Graph wrapper + generators: structural invariants, and DuckDB-oracle
   * checks for the degree/statistics queries.
@@ -50,7 +51,7 @@ class GraphSpec extends SparkSpec {
       assert(fromCsr == edges, s"graph $name")
       for (v <- 0 until lg.n) {
         assert(lg.inDeg(v) == edges.count(_._2 == v), s"graph $name node $v")
-        assert(lg.outDeg(v) == edges.count(_._1 == v), s"graph $name node $v")
+        assert(TestRefs.outDeg(lg, v) == edges.count(_._1 == v), s"graph $name node $v")
       }
     }
   }
@@ -65,6 +66,39 @@ class GraphSpec extends SparkSpec {
     val a = GraphGen.powerLaw(spark, 100, 400, seed = 9).edges.collect().map(r => (r.getLong(0), r.getLong(1))).toSet
     val b = GraphGen.powerLaw(spark, 100, 400, seed = 9).edges.collect().map(r => (r.getLong(0), r.getLong(1))).toSet
     assert(a == b)
+  }
+
+  // `Arrays.hashCode` of the sorted `src * n + dst` of every edge, with n and
+  // m, as recorded on a 4-core host before the draws were pinned to 4 partitions.
+  private val golden = Map(
+    "in2004-lite"  -> (1400L, 17000L, -1186438747),
+    "dblp-lite"    -> (2000L, 9212L, -1176017743),
+    "pokec-lite"   -> (1600L, 30000L, -1428274971),
+    "twitter-lite" -> (2400L, 84000L, 992951938),
+    "lj-lite"      -> (2400L, 34000L, -2138638456),
+    "uk-lite"      -> (3000L, 123000L, 270380113),
+    "powerLaw(200, 1500, seed = 5)" -> (200L, 1500L, -1796677359),
+    "erdosRenyi(60, 240, seed = 1)" -> (60L, 240L, 210637392),
+  )
+
+  private def edgeHash(lg: LocalGraph): Int = {
+    val keys = (0 until lg.n).flatMap(v => lg.outNeighbors(v).map(v.toLong * lg.n + _)).toArray
+    java.util.Arrays.sort(keys)
+    java.util.Arrays.hashCode(keys)
+  }
+
+  test("generators draw the same graphs under leaf parallelism 2 and 4") {
+    val key = "spark.sql.leafNodeDefaultParallelism"
+    for (p <- Seq(2, 4)) {
+      spark.conf.set(key, p.toLong)
+      try {
+        val graphs = Datasets.extended(spark).map(d => d.name -> d.graph) ++ Seq(
+          "powerLaw(200, 1500, seed = 5)" -> GraphGen.powerLaw(spark, 200, 1500, seed = 5),
+          "erdosRenyi(60, 240, seed = 1)" -> GraphGen.erdosRenyi(spark, 60, 240, seed = 1))
+        val got = graphs.map { case (name, g) => name -> (g.numNodes, g.numEdges, edgeHash(g.local)) }.toMap
+        assert(got == golden, s"leaf parallelism $p")
+      } finally spark.conf.unset(key)
+    }
   }
 
   test("powerLaw hits the requested edge count approximately") {
@@ -82,7 +116,7 @@ class GraphSpec extends SparkSpec {
   test("deterministic toy graphs have the expected shape") {
     val cyc = GraphGen.cycle(spark, 5)
     assert(cyc.numEdges == 5)
-    assert((0 until 5).forall(v => cyc.local.inDeg(v) == 1 && cyc.local.outDeg(v) == 1))
+    assert((0 until 5).forall(v => cyc.local.inDeg(v) == 1 && TestRefs.outDeg(cyc.local, v) == 1))
     val st = GraphGen.starInward(spark, 6)
     assert(st.local.inDeg(0) == 5 && (1 until 6).forall(st.local.inDeg(_) == 0))
     val comp = GraphGen.complete(spark, 4)
