@@ -1,33 +1,25 @@
 package repro.baselines
 
-import java.util.SplittableRandom
-
-import repro.graph.Graph
+import repro.graph.LocalGraph
 
 /** Monte-Carlo estimation of the last-meeting probability
   * `eta(w) = Pr[two independent \sqrt{c}-walks from w never meet]`
   * used by SLING and PRSim (Equation 3). The paper's SLING precomputes these
-  * during indexing by sampling walk pairs; we do the same, batched as one
-  * distributed job over a broadcast CSR graph.
+  * during indexing by sampling walk pairs; we do the same on the driver CSR,
+  * node by node, walk pair `i` of node `v` drawn from the stream seeded by
+  * `mix(seed, v)`.
   */
 object Eta {
 
   /** @return `eta(node)` for every node */
-  def estimate(g: Graph, samplesPerNode: Int, c: Double, maxSteps: Int,
+  def estimate(lg: LocalGraph, samplesPerNode: Int, c: Double, maxSteps: Int,
                seed: Long): Map[Long, Double] = {
-    val spark = g.spark
-    import spark.implicits._
-    val bc = g.localBroadcast
-    val n  = g.numNodes
-    spark.range(n).as[Long].map { v =>
-      val rng  = new SplittableRandom(RandomWalks.mix(seed, v))
-      var meet = 0
-      var i = 0
-      while (i < samplesPerNode) {
-        if (bc.value.pairWalksMeet(v.toInt, v.toInt, c, maxSteps, rng)) meet += 1
-        i += 1
-      }
-      (v, 1.0 - meet.toDouble / samplesPerNode)
-    }.collect().toMap
+    require(samplesPerNode > 0, s"samplesPerNode must be > 0, got $samplesPerNode")
+    require(c > 0 && c < 1, s"c must be in (0, 1), got $c")
+    require(maxSteps > 0, s"maxSteps must be > 0, got $maxSteps")
+    (0 until lg.n).iterator.map { v =>
+      val meet = MonteCarloSim.meetCount(lg, v, v, samplesPerNode, c, maxSteps, RandomWalks.mix(seed, v))
+      v.toLong -> (1.0 - meet.toDouble / samplesPerNode)
+    }.toMap
   }
 }

@@ -2,7 +2,7 @@ package repro.baselines
 
 import java.util.SplittableRandom
 
-import repro.graph.Graph
+import repro.graph.LocalGraph
 
 /** Monte-Carlo SimRank estimation [5, 6]: `s(u, v)` is the probability that
   * two independent \sqrt{c}-walks from `u` and `v` meet (same node, same
@@ -13,24 +13,25 @@ import repro.graph.Graph
 object MonteCarloSim {
 
   /** Estimate `s(u, v)` for each `v` in `vs` with `samples` walk pairs each,
-    * batched as one distributed job.
+    * drawn on the driver CSR; the pairs of the `i`-th `v` come from the
+    * stream seeded by `mix(seed, i)`.
     */
-  def pairMeetProb(g: Graph, u: Long, vs: Seq[Long], samples: Int, c: Double,
+  def pairMeetProb(lg: LocalGraph, u: Long, vs: Seq[Long], samples: Int, c: Double,
                    maxSteps: Int = 40, seed: Long = 53L): Map[Long, Double] = {
-    val spark = g.spark
-    import spark.implicits._
-    val bc  = g.localBroadcast
-    val vsB = spark.sparkContext.broadcast(vs.toArray)
-    spark.range(vs.size.toLong).as[Long].map { i =>
-      val v   = vsB.value(i.toInt)
-      val rng = new SplittableRandom(RandomWalks.mix(seed, i))
-      var hit = 0
-      var s = 0
-      while (s < samples) {
-        if (bc.value.pairWalksMeet(u.toInt, v.toInt, c, maxSteps, rng)) hit += 1
-        s += 1
-      }
-      (v, hit.toDouble / samples)
-    }.collect().toMap
+    require(samples > 0, s"samples must be > 0, got $samples")
+    require(c > 0 && c < 1, s"c must be in (0, 1), got $c")
+    require(maxSteps > 0, s"maxSteps must be > 0, got $maxSteps")
+    vs.iterator.zipWithIndex.map { case (v, i) =>
+      v -> meetCount(lg, u.toInt, v.toInt, samples, c, maxSteps, RandomWalks.mix(seed, i)).toDouble / samples
+    }.toMap
+  }
+
+  /** How many of `samples` walk pairs from `u` and `v`, drawn in turn from
+    * one `SplittableRandom(seed)`, meet; [[Eta]] calls it with `u == v`.
+    */
+  private[baselines] def meetCount(lg: LocalGraph, u: Int, v: Int, samples: Int, c: Double,
+                                   maxSteps: Int, seed: Long): Int = {
+    val rng = new SplittableRandom(seed)
+    (0 until samples).count(_ => lg.pairWalksMeet(u, v, c, maxSteps, rng))
   }
 }

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.graph.Graph
+import repro.graph.LocalGraph
 
 /** PRSim [33] (Section 2.2): the index-based state of the art. PRSim keeps
   * SLING's decomposition `s(u,v) = sum h(u,w) eta(w) h(v,w)` but only
@@ -17,33 +17,24 @@ import repro.graph.Graph
   */
 object PrSim {
 
-  /** @param hubLists reverse lists of the hubs, as in [[Sling.Index]] */
-  final case class Index(hubLists: Map[Long, PushOps.Levels], eta: Map[Long, Double],
-                         theta: Double, maxLevel: Int, rows: Long, buildMillis: Long) {
-    def hubs: Set[Long] = hubLists.keySet
+  /** [[Sling.Index]] over the hubs: `lists.keySet` are the `j0` nodes of
+    * highest in-degree (ties by id; never a node without in-edges).
+    *
+    * @param j0 number of hub nodes (paper default sqrt(n))
+    */
+  def buildIndex(lg: LocalGraph, theta: Double, c: Double, j0: Int,
+                 etaSamples: Int = 300, seed: Long = 13L): Sling.Index = {
+    require(j0 > 0, s"j0 must be > 0, got $j0")
+    val hubs = (0 until lg.n).filter(lg.inDeg(_) > 0).sortBy(v => (-lg.inDeg(v), v)).take(j0)
+    Sling.index(lg, hubs.map(_.toLong), theta, c, etaSamples, seed)
   }
 
-  /** @param j0 number of hub nodes (paper default sqrt(n)) */
-  def buildIndex(g: Graph, theta: Double, c: Double, j0: Int,
-                 etaSamples: Int = 300, seed: Long = 13L): Index = {
-    val t0 = System.nanoTime()
-    val maxLevel = math.max(1,
-      math.floor(math.log(1.0 / theta) / math.log(1.0 / math.sqrt(c))).toInt)
-    val lg   = g.local
-    val hubs = (0 until lg.n).filter(lg.inDeg(_) > 0).sortBy(v => (-lg.inDeg(v), v))
-      .take(j0).map(_.toLong)
-    val hubLists = PushOps.reverseLists(g, hubs, c, maxLevel, theta)
-    val eta = Eta.estimate(g, etaSamples, c, maxLevel + 10, seed)
-    Index(hubLists, eta, theta, maxLevel, PushOps.rows(hubLists), (System.nanoTime() - t0) / 1000000)
-  }
-
-  def query(g: Graph, idx: Index, u: Long, c: Double): Map[Long, Double] = {
-    val lg = g.local
+  def query(lg: LocalGraph, idx: Sling.Index, u: Long, c: Double): Map[Long, Double] = {
     val hU = PushOps.levels(lg, u, c, idx.maxLevel, idx.theta)
     // Non-hub meeting nodes: compute reverse lists online (the part PRSim
     // pays at query time).
     val online = scala.collection.mutable.HashMap.empty[Long, PushOps.Levels]
-    PushOps.decomposition(u, hU, idx.eta, w => idx.hubLists.getOrElse(w,
+    PushOps.decomposition(u, hU, idx.eta, w => idx.lists.getOrElse(w,
       online.getOrElseUpdate(w, PushOps.levels(lg, w, c, idx.maxLevel, idx.theta, transpose = true))))
   }
 }

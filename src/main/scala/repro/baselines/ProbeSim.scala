@@ -2,7 +2,7 @@ package repro.baselines
 
 import java.util.SplittableRandom
 
-import repro.graph.{Graph, LocalGraph}
+import repro.graph.LocalGraph
 
 /** ProbeSim [21] (Section 2.2): the previous index-free state of the art and
   * SimPush's headline competitor.
@@ -25,10 +25,13 @@ object ProbeSim {
     * @param prune    drop probe mass below this (original truncates similarly)
     */
   final case class Params(numWalks: Int, prune: Double = 1e-5, c: Double = 0.6,
-                          maxSteps: Int = 15, seed: Long = 29L)
+                          maxSteps: Int = 15, seed: Long = 29L) {
+    require(numWalks > 0, s"numWalks must be > 0, got $numWalks")
+    require(c > 0 && c < 1, s"c must be in (0, 1), got $c")
+    require(maxSteps > 0, s"maxSteps must be > 0, got $maxSteps")
+  }
 
-  def query(g: Graph, u: Long, p: Params): Map[Long, Double] = {
-    val lg  = g.local
+  def query(lg: LocalGraph, u: Long, p: Params): Map[Long, Double] = {
     val acc = scala.collection.mutable.HashMap.empty[Long, Double]
     for (id <- 0 until p.numWalks) {
       val walk = lg.sqrtCWalk(u.toInt, p.c, p.maxSteps, new SplittableRandom(RandomWalks.mix(p.seed, id)))

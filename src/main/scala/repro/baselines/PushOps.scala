@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.graph.{Graph, LocalGraph}
+import repro.graph.LocalGraph
 
 /** Level-wise push primitives shared by the baseline methods, all on the
   * driver CSR kernel [[repro.graph.LocalGraph.push]].
@@ -29,21 +29,12 @@ object PushOps {
     out.toIndexedSeq
   }
 
-  /** Reverse lists `levels(_, w, c, maxLevel, prune, transpose = true)` of
-    * every seed `w`, computed in one Spark job over the broadcast CSR and
-    * collected into a driver-side index.
+  /** Reverse lists `levels(lg, w, c, maxLevel, prune, transpose = true)` of
+    * every seed `w`, in seed order.
     */
-  def reverseLists(g: Graph, seeds: Seq[Long], c: Double, maxLevel: Int,
-                   prune: Double): Map[Long, Levels] = {
-    val bc = g.localBroadcast
-    g.spark.sparkContext.parallelize(seeds)
-      .map(w => w -> levels(bc.value, w, c, maxLevel, prune, transpose = true))
-      .collect().toMap
-  }
-
-  /** Index cardinality of [[reverseLists]]: its entries at levels `>= 1`. */
-  def rows(lists: Map[Long, Levels]): Long =
-    lists.valuesIterator.map(_.iterator.drop(1).map(_.size.toLong).sum).sum
+  def reverseLists(lg: LocalGraph, seeds: Seq[Long], c: Double, maxLevel: Int,
+                   prune: Double): Map[Long, Levels] =
+    seeds.iterator.map(w => w -> levels(lg, w, c, maxLevel, prune, transpose = true)).toMap
 
   /** Equation 3 over forward levels `hU` of `u` (already pruned):
     * `s(u, v) = sum_{l>=1} sum_w hU(l)(w) * eta(w) * rev(w)(l)(v)`, with

@@ -2,7 +2,7 @@ package repro.baselines
 
 /** Per-walk seeding for the walk-based methods: `mix(seed, id)` seeds walk
   * `id` of ProbeSim, Eta, READS, TSF and Monte-Carlo SimRank, so a walk does
-  * not depend on where (driver or executor) or in which order it is drawn.
+  * not depend on the order in which the walks are drawn.
   */
 object RandomWalks {
 

@@ -2,7 +2,7 @@ package repro.baselines
 
 import java.util.SplittableRandom
 
-import repro.graph.Graph
+import repro.graph.LocalGraph
 
 /** READS [12] (Section 2.2): index-based. Pre-computes `r` \sqrt{c}-walks of
   * depth at most `t` from *every* node; at query time, walk `i` of `u` is
@@ -22,19 +22,21 @@ object Reads {
     */
   final case class Index(walks: Array[Array[Int]], r: Int, t: Int, rows: Long, buildMillis: Long)
 
-  def buildIndex(g: Graph, r: Int, t: Int, c: Double, seed: Long = 31L): Index = {
+  def buildIndex(lg: LocalGraph, r: Int, t: Int, c: Double, seed: Long = 31L): Index = {
+    require(r > 0, s"r must be > 0, got $r")
+    require(t > 0, s"t must be > 0, got $t")
+    require(c > 0 && c < 1, s"c must be in (0, 1), got $c")
     val t0 = System.nanoTime()
-    val lg = g.local
     val walks = Array.tabulate(Math.multiplyExact(lg.n, r)) { id =>
       lg.sqrtCWalk(id / r, c, t, new SplittableRandom(RandomWalks.mix(seed, id.toLong)))
     }
     Index(walks, r, t, walks.iterator.map(_.length.toLong).sum, (System.nanoTime() - t0) / 1000000)
   }
 
-  def query(g: Graph, idx: Index, u: Long): Map[Long, Double] = {
+  def query(lg: LocalGraph, idx: Index, u: Long): Map[Long, Double] = {
     val r     = idx.r
     val uInt  = u.toInt
-    val meets = new Array[Int](g.local.n)
+    val meets = new Array[Int](lg.n)
     for (v <- meets.indices if v != uInt; i <- 0 until r) {
       val uw  = idx.walks(uInt * r + i)
       val vw  = idx.walks(v * r + i)

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.graph.Graph
+import repro.graph.LocalGraph
 
 /** TopSim [15] (Section 2.2): index-free. Expands a truncated random-walk
   * tree of depth `T` from the query node, keeping at most `H` nodes per
@@ -21,25 +21,28 @@ object TopSim {
     * @param eta  trim threshold on walk probability
     */
   final case class Params(T: Int, invH: Int, H: Int = 100, eta: Double = 0.001,
-                          c: Double = 0.6)
+                          c: Double = 0.6) {
+    require(T > 0, s"T must be > 0, got $T")
+    require(invH > 0, s"invH must be > 0, got $invH")
+    require(H > 0, s"H must be > 0, got $H")
+    require(c > 0 && c < 1, s"c must be in (0, 1), got $c")
+  }
 
-  def query(g: Graph, u: Long, p: Params): Map[Long, Double] = {
-    val local = g.local
-
+  def query(lg: LocalGraph, u: Long, p: Params): Map[Long, Double] = {
     // Truncated forward expansion: h^{(l)}(u, .) with TopSim's pruning.
     val levels = scala.collection.mutable.ArrayBuffer[Map[Long, Double]](Map(u -> 1.0))
     while (levels.size <= p.T && levels.last.nonEmpty) {
       val expandable = levels.last.filter { case (v, h) =>
-        h >= p.eta && local.inDeg(v.toInt) <= p.invH
+        h >= p.eta && lg.inDeg(v.toInt) <= p.invH
       }
-      levels += local.push(expandable, p.c).toSeq.sortBy { case (v, h) => (-h, v) }.take(p.H).toMap
+      levels += lg.push(expandable, p.c).toSeq.sortBy { case (v, h) => (-h, v) }.take(p.H).toMap
     }
 
     // Reverse pass from each retained (lvl, w) meeting candidate down to
     // level lvl; no last-meeting correction — TopSim counts re-meetings.
     val acc = scala.collection.mutable.HashMap.empty[Long, Double]
     for (lvl <- 1 until levels.size; (w, h) <- levels(lvl)) {
-      val rev = PushOps.levels(local, w, p.c, lvl, p.eta, transpose = true)
+      val rev = PushOps.levels(lg, w, p.c, lvl, p.eta, transpose = true)
       if (lvl < rev.size)
         rev(lvl).foreach { case (v, hv) => acc.update(v, acc.getOrElse(v, 0.0) + h * hv) }
     }

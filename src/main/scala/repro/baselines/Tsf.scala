@@ -2,7 +2,7 @@ package repro.baselines
 
 import java.util.SplittableRandom
 
-import repro.graph.Graph
+import repro.graph.LocalGraph
 
 /** TSF [28] (Section 2.2): index-based. The index holds `Rg` *one-way
   * graphs* — each node samples a single in-neighbor — so every node's walk
@@ -26,9 +26,10 @@ object Tsf {
   final case class Index(positions: Array[Array[Array[Int]]], rg: Int, t: Int, rows: Long,
                          buildMillis: Long)
 
-  def buildIndex(g: Graph, rg: Int, t: Int, seed: Long = 37L): Index = {
+  def buildIndex(lg: LocalGraph, rg: Int, t: Int, seed: Long = 37L): Index = {
+    require(rg > 0, s"rg must be > 0, got $rg")
+    require(t > 0, s"t must be > 0, got $t")
     val t0    = System.nanoTime()
-    val lg    = g.local
     val start = Array.range(0, lg.n)
     val positions = Array.tabulate(rg) { gid =>
       // each node's sampled in-neighbor depends only on (seed, gid, node)
@@ -43,19 +44,20 @@ object Tsf {
   }
 
   /** @param rq reuses of each one-way graph with a re-randomized first hop */
-  def query(g: Graph, idx: Index, u: Long, rq: Int, c: Double, seed: Long = 41L): Map[Long, Double] = {
-    val local = g.local
+  def query(lg: LocalGraph, idx: Index, u: Long, rq: Int, c: Double, seed: Long = 41L): Map[Long, Double] = {
+    require(rq > 0, s"rq must be > 0, got $rq")
+    require(c > 0 && c < 1, s"c must be in (0, 1), got $c")
     val uInt  = u.toInt
-    if (local.inDeg(uInt) == 0) return Map(u -> 1.0)
+    if (lg.inDeg(uInt) == 0) return Map(u -> 1.0)
 
     // u's Rg*Rq walks: random first hop from the true graph, then the
     // deterministic one-way chain of that hop, so u's walk is at step s
     // where its hop is after s-1 moves.
     val rng   = new SplittableRandom(RandomWalks.mix(seed, u))
-    val sum   = new Array[Double](local.n)
-    val walks = new Array[Int](local.n) // u's walks at each node, this step
+    val sum   = new Array[Double](lg.n)
+    val walks = new Array[Int](lg.n) // u's walks at each node, this step
     for (steps <- idx.positions) {
-      val hops = Array.fill(rq)(local.randomInNeighbor(uInt, rng))
+      val hops = Array.fill(rq)(lg.randomInNeighbor(uInt, rng))
       for (s <- 1 to idx.t) {
         val uPos = hops.map(h => steps(s - 1)(h)).filter(_ >= 0)
         uPos.foreach(p => walks(p) += 1)

@@ -51,7 +51,8 @@ object Datasets {
 
   /** Deterministic query nodes: uniform over nodes with at least one
     * in-neighbor (a node without in-neighbors has an all-zero SimRank row —
-    * the paper samples queries uniformly at random).
+    * the paper samples queries uniformly at random). Fails if 100,000 draws
+    * do not find `count` of them.
     */
   def queryNodes(g: Graph, count: Int, seed: Long = 77L): Seq[Long] = {
     val rng   = new java.util.SplittableRandom(seed)
@@ -63,6 +64,7 @@ object Datasets {
       if (local.inDeg(v) > 0) out += v.toLong
       guard += 1
     }
+    require(out.size == count, s"found ${out.size} of $count query nodes with in-edges in $guard draws")
     out.toSeq
   }
 }

@@ -62,16 +62,16 @@ object Harness {
                walkCounts: Seq[Int]): Seq[RunRow] =
     walkCounts.map { r =>
       measure(ds, truth, queries, "ProbeSim", s"R=$r", 0, 0) { u =>
-        ProbeSim.query(ds.graph, u, ProbeSim.Params(numWalks = r))
+        ProbeSim.query(ds.graph.local, u, ProbeSim.Params(numWalks = r))
       }
     }
 
   def sling(ds: BenchDataset, truth: Array[Array[Double]], queries: Seq[Long],
             thetas: Seq[Double]): Seq[RunRow] =
     thetas.map { theta =>
-      val idx = Sling.buildIndex(ds.graph, theta, c = 0.6)
+      val idx = Sling.buildIndex(ds.graph.local, theta, c = 0.6)
       measure(ds, truth, queries, "SLING", f"theta=$theta%.3g", idx.buildMillis, idx.rows) { u =>
-        Sling.query(ds.graph, idx, u, c = 0.6)
+        Sling.query(ds.graph.local, idx, u, c = 0.6)
       }
     }
 
@@ -79,27 +79,27 @@ object Harness {
             thetas: Seq[Double]): Seq[RunRow] =
     thetas.map { theta =>
       val j0  = math.sqrt(ds.graph.numNodes.toDouble).toInt
-      val idx = PrSim.buildIndex(ds.graph, theta, c = 0.6, j0 = j0)
+      val idx = PrSim.buildIndex(ds.graph.local, theta, c = 0.6, j0 = j0)
       measure(ds, truth, queries, "PRSim", f"theta=$theta%.3g", idx.buildMillis, idx.rows) { u =>
-        PrSim.query(ds.graph, idx, u, c = 0.6)
+        PrSim.query(ds.graph.local, idx, u, c = 0.6)
       }
     }
 
   def reads(ds: BenchDataset, truth: Array[Array[Double]], queries: Seq[Long],
             rts: Seq[(Int, Int)]): Seq[RunRow] =
     rts.map { case (r, t) =>
-      val idx = Reads.buildIndex(ds.graph, r, t, c = 0.6)
+      val idx = Reads.buildIndex(ds.graph.local, r, t, c = 0.6)
       measure(ds, truth, queries, "READS", s"r=$r,t=$t", idx.buildMillis, idx.rows) { u =>
-        Reads.query(ds.graph, idx, u)
+        Reads.query(ds.graph.local, idx, u)
       }
     }
 
   def tsf(ds: BenchDataset, truth: Array[Array[Double]], queries: Seq[Long],
           rgRqs: Seq[(Int, Int)]): Seq[RunRow] =
     rgRqs.map { case (rg, rq) =>
-      val idx = Tsf.buildIndex(ds.graph, rg, t = 10)
+      val idx = Tsf.buildIndex(ds.graph.local, rg, t = 10)
       measure(ds, truth, queries, "TSF", s"Rg=$rg,Rq=$rq", idx.buildMillis, idx.rows) { u =>
-        Tsf.query(ds.graph, idx, u, rq, c = 0.6)
+        Tsf.query(ds.graph.local, idx, u, rq, c = 0.6)
       }
     }
 
@@ -107,7 +107,7 @@ object Harness {
              tInvHs: Seq[(Int, Int)]): Seq[RunRow] =
     tInvHs.map { case (t, invH) =>
       measure(ds, truth, queries, "TopSim", s"T=$t,1/h=$invH", 0, 0) { u =>
-        TopSim.query(ds.graph, u, TopSim.Params(T = t, invH = invH))
+        TopSim.query(ds.graph.local, u, TopSim.Params(T = t, invH = invH))
       }
     }
 

@@ -1,19 +1,16 @@
 package repro.graph
 
-import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
 /** A directed graph as a DataFrame of distinct edges `(src, dst)` with node
-  * ids dense in `[0, numNodes)`. Every method answers queries on the driver
-  * CSR copy [[local]]; Spark builds the graph and runs the SLING, PRSim and
-  * η index jobs and Monte-Carlo SimRank over [[localBroadcast]].
+  * ids dense in `[0, numNodes)`. Spark builds the graph; every method, its
+  * index builds included, runs on the driver CSR copy [[local]].
   */
 final class Graph(
-    @transient val spark: SparkSession,
     val edges: DataFrame, // columns: src Long, dst Long; distinct
     val numNodes: Long,
-) extends Serializable {
+) {
 
   lazy val numEdges: Long = edges.count()
 
@@ -34,10 +31,9 @@ final class Graph(
       .cache()
   }
 
-  /** Driver-side CSR copy: runs the push-based queries and, as
-    * [[localBroadcast]], the competitors' index builds and walk simulation. Materialized
-    * lazily; the graphs in this repro fit comfortably. Its ids are `Int`, so
-    * `numNodes` must be too.
+  /** Driver-side CSR copy: runs every query, index build and walk
+    * simulation. Materialized lazily; the graphs in this repro fit
+    * comfortably. Its ids are `Int`, so `numNodes` must be too.
     */
   lazy val local: LocalGraph = {
     require(numNodes <= Int.MaxValue, s"numNodes = $numNodes does not fit the Int ids of LocalGraph")
@@ -47,12 +43,6 @@ final class Graph(
     LocalGraph.fromEdges(numNodes.toInt, es)
   }
 
-  /** [[local]] broadcast to executors for the index and walk jobs, once per graph.
-    * Bind it to a local val before a closure, so that tasks never serialize
-    * the `Graph` itself.
-    */
-  @transient lazy val localBroadcast: Broadcast[LocalGraph] = spark.sparkContext.broadcast(local)
-
   /** Build the CSR [[local]], all that a push-based query reads (used before timing queries). */
   def warm(): Unit = { local; () }
 }
@@ -61,7 +51,8 @@ object Graph {
 
   /** Wrap an edge DataFrame (columns `src`, `dst`); dedupes and drops
     * self-loops, which SimRank's walk formulation does not use meaningfully
-    * and which the generators may emit.
+    * and which the generators may emit. `edgesDf` carries its own session,
+    * so `spark` is unused; it stays in the signature that simbench calls.
     */
   def fromEdges(spark: SparkSession, edgesDf: DataFrame, numNodes: Long): Graph = {
     val e = edgesDf
@@ -70,7 +61,7 @@ object Graph {
       .where(col("src") >= 0 && col("src") < numNodes && col("dst") >= 0 && col("dst") < numNodes)
       .distinct()
       .cache()
-    new Graph(spark, e, numNodes)
+    new Graph(e, numNodes)
   }
 
   /** Build from a literal edge list — for unit tests and tiny examples. */

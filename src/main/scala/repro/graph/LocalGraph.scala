@@ -4,10 +4,10 @@ import java.util.SplittableRandom
 
 import scala.collection.mutable
 
-/** Compact CSR copy of a directed graph. On the driver it runs every
+/** Compact CSR copy of a directed graph, held on the driver. It runs every
   * single-source level push ([[push]]: Source-Push, Reverse-Push and the
-  * baselines' forward pushes) and the exact reference computations; it is
-  * broadcast to executors for embarrassingly-parallel random-walk simulation.
+  * baselines' pushes), every random-walk simulation and the exact reference
+  * computations.
   *
   * Node ids must be dense in `[0, n)`. Edges are directed `src -> dst`;
   * a \sqrt{c}-walk moves from a node to a uniformly random *in*-neighbor.
@@ -18,7 +18,7 @@ final class LocalGraph(
     private val inAdj: Array[Int],
     private val outOff: Array[Int],
     private val outAdj: Array[Int],
-) extends Serializable {
+) {
 
   /** Number of directed edges. */
   def m: Int = inAdj.length

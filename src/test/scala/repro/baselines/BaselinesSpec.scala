@@ -51,7 +51,7 @@ class BaselinesSpec extends SparkSpec {
 
   test("eta estimates are probabilities and match exact never-meet on the cycle") {
     val g   = graph("cycle8")
-    val eta = Eta.estimate(g, samplesPerNode = 2000, c, maxSteps = 25, seed = 3)
+    val eta = Eta.estimate(g.local, samplesPerNode = 2000, c, maxSteps = 25, seed = 3)
     eta.values.foreach(v => assert(v >= 0.0 && v <= 1.0))
     // on a directed cycle two walks from the same node move in lockstep and
     // meet at step 1 iff both survive: eta = 1 - c exactly
@@ -60,7 +60,7 @@ class BaselinesSpec extends SparkSpec {
 
   test("eta is 1 for nodes whose walks die immediately") {
     val g   = TestGraphs.star(spark)
-    val eta = Eta.estimate(g, 500, c, 10, seed = 4)
+    val eta = Eta.estimate(g.local, 500, c, 10, seed = 4)
     (1 until 10).foreach(v => assert(eta(v.toLong) == 1.0)) // leaves: no in-edges
   }
 
@@ -69,7 +69,7 @@ class BaselinesSpec extends SparkSpec {
   for (name <- Seq("toy", "er60", "pl80")) {
     test(s"ProbeSim approximates exact SimRank on $name") {
       val g = graph(name); val t = truth(name); val u = firstQuery(name)
-      val est = ProbeSim.query(g, u, ProbeSim.Params(numWalks = 1200, seed = 17))
+      val est = ProbeSim.query(g.local, u, ProbeSim.Params(numWalks = 1200, seed = 17))
       val err = Metrics.avgErrorAtK(t(u), est, u, 20)
       assert(err < 0.05, s"avgErr@20 = $err")
       assert(Metrics.maxAbsError(t(u), est, u) < 0.12)
@@ -78,7 +78,7 @@ class BaselinesSpec extends SparkSpec {
 
   test("ProbeSim returns 1 for the query node and only valid probabilities") {
     val g = graph("er60"); val u = firstQuery("er60")
-    val est = ProbeSim.query(g, u, ProbeSim.Params(numWalks = 200))
+    val est = ProbeSim.query(g.local, u, ProbeSim.Params(numWalks = 200))
     assert(est(u.toLong) == 1.0)
     est.values.foreach(v => assert(v >= 0.0 && v <= 1.0 + 1e-9))
   }
@@ -103,14 +103,14 @@ class BaselinesSpec extends SparkSpec {
 
   test("ProbeSim on a dead-end query returns only the query node") {
     val g = TestGraphs.star(spark)
-    assert(ProbeSim.query(g, 3, ProbeSim.Params(numWalks = 100)) == Map(3L -> 1.0))
+    assert(ProbeSim.query(g.local, 3, ProbeSim.Params(numWalks = 100)) == Map(3L -> 1.0))
   }
 
   // ---------------- SLING ----------------
 
   test("SLING index reverse lists match exact hitting probabilities (tight theta)") {
     val g   = graph("toy")
-    val idx = Sling.buildIndex(g, theta = 1e-4, c = c)
+    val idx = Sling.buildIndex(g.local, theta = 1e-4, c = c)
     for (w <- 0 until g.local.n; l <- 1 to 3; v <- 0 until g.local.n) {
       val expect = TestRefs.hittingDP(g.local, v, c, l)(l)(w)
       if (expect > 0.01) {
@@ -123,8 +123,8 @@ class BaselinesSpec extends SparkSpec {
   for (name <- Seq("toy", "er60")) {
     test(s"SLING query approximates exact SimRank on $name") {
       val g = graph(name); val t = truth(name); val u = firstQuery(name)
-      val idx = Sling.buildIndex(g, theta = 0.002, c = c, etaSamples = 2000)
-      val est = Sling.query(g, idx, u, c)
+      val idx = Sling.buildIndex(g.local, theta = 0.002, c = c, etaSamples = 2000)
+      val est = Sling.query(g.local, idx, u, c)
       val err = Metrics.avgErrorAtK(t(u), est, u, 20)
       assert(err < 0.06, s"avgErr@20 = $err")
     }
@@ -132,8 +132,8 @@ class BaselinesSpec extends SparkSpec {
 
   test("SLING index shrinks as theta grows") {
     val g = graph("pl80")
-    val fine   = Sling.buildIndex(g, theta = 0.005, c = c, etaSamples = 50)
-    val coarse = Sling.buildIndex(g, theta = 0.05, c = c, etaSamples = 50)
+    val fine   = Sling.buildIndex(g.local, theta = 0.005, c = c, etaSamples = 50)
+    val coarse = Sling.buildIndex(g.local, theta = 0.05, c = c, etaSamples = 50)
     assert(coarse.rows < fine.rows)
   }
 
@@ -142,8 +142,8 @@ class BaselinesSpec extends SparkSpec {
   for (name <- Seq("toy", "pl80")) {
     test(s"PRSim query approximates exact SimRank on $name") {
       val g = graph(name); val t = truth(name); val u = firstQuery(name)
-      val idx = PrSim.buildIndex(g, theta = 0.002, c = c, j0 = 10, etaSamples = 2000)
-      val est = PrSim.query(g, idx, u, c)
+      val idx = PrSim.buildIndex(g.local, theta = 0.002, c = c, j0 = 10, etaSamples = 2000)
+      val est = PrSim.query(g.local, idx, u, c)
       val err = Metrics.avgErrorAtK(t(u), est, u, 20)
       assert(err < 0.06, s"avgErr@20 = $err")
     }
@@ -151,38 +151,68 @@ class BaselinesSpec extends SparkSpec {
 
   test("PRSim hub index is smaller than SLING's full index") {
     val g = graph("pl80")
-    val sl = Sling.buildIndex(g, theta = 0.01, c = c, etaSamples = 50)
-    val pr = PrSim.buildIndex(g, theta = 0.01, c = c, j0 = 9, etaSamples = 50)
+    val sl = Sling.buildIndex(g.local, theta = 0.01, c = c, etaSamples = 50)
+    val pr = PrSim.buildIndex(g.local, theta = 0.01, c = c, j0 = 9, etaSamples = 50)
     assert(pr.rows < sl.rows)
-    assert(pr.hubs.size == 9)
+    assert(pr.lists.keySet.size == 9)
   }
 
   test("PRSim hubs are the highest in-degree nodes") {
     val g  = graph("pl80")
-    val pr = PrSim.buildIndex(g, theta = 0.05, c = c, j0 = 5, etaSamples = 20)
+    val pr = PrSim.buildIndex(g.local, theta = 0.05, c = c, j0 = 5, etaSamples = 20)
     val byDeg = (0 until g.local.n).sortBy(v => (-g.local.inDeg(v), v)).take(5).map(_.toLong).toSet
-    assert(pr.hubs == byDeg)
+    assert(pr.lists.keySet == byDeg)
   }
 
-  // ---------------- Spark-free queries ----------------
+  // ---------------- Spark-free builds and queries ----------------
 
-  test("SimPush and all six competitors answer with no Spark job") {
+  test("no index build, query, eta or Monte-Carlo run submits a Spark job") {
     val g = graph("er60"); val u = firstQuery("er60")
     g.warm()
-    val sl = Sling.buildIndex(g, theta = 0.01, c = c, etaSamples = 50)
-    val pr = PrSim.buildIndex(g, theta = 0.01, c = c, j0 = 7, etaSamples = 50)
-    val rd = Reads.buildIndex(g, r = 50, t = 10, c = c)
-    val tf = Tsf.buildIndex(g, rg = 20, t = 10)
+    val lg = g.local
+    lazy val sl = Sling.buildIndex(lg, theta = 0.01, c = c, etaSamples = 50)
+    lazy val pr = PrSim.buildIndex(lg, theta = 0.01, c = c, j0 = 7, etaSamples = 50)
+    lazy val rd = Reads.buildIndex(lg, r = 50, t = 10, c = c)
+    lazy val tf = Tsf.buildIndex(lg, rg = 20, t = 10)
     val jobs = Seq(
-      "SimPush"  -> sparkJobsIn(SimPush.singleSource(g, u, SimPushParams(0.05))),
-      "ProbeSim" -> sparkJobsIn(ProbeSim.query(g, u, ProbeSim.Params(numWalks = 100))),
-      "TopSim"   -> sparkJobsIn(TopSim.query(g, u, TopSim.Params(T = 3, invH = 100))),
-      "SLING"    -> sparkJobsIn(Sling.query(g, sl, u, c)),
-      "PRSim"    -> sparkJobsIn(PrSim.query(g, pr, u, c)),
-      "READS"    -> sparkJobsIn(Reads.query(g, rd, u)),
-      "TSF"      -> sparkJobsIn(Tsf.query(g, tf, u, rq = 10, c = c)),
+      "SLING index" -> sparkJobsIn(sl),
+      "PRSim index" -> sparkJobsIn(pr),
+      "READS index" -> sparkJobsIn(rd),
+      "TSF index"   -> sparkJobsIn(tf),
+      "eta"         -> sparkJobsIn(Eta.estimate(lg, 50, c, maxSteps = 20, seed = 3)),
+      "Monte-Carlo" -> sparkJobsIn(MonteCarloSim.pairMeetProb(lg, u, (0L until 60L), samples = 100, c = c)),
+      "SimPush"     -> sparkJobsIn(SimPush.singleSource(g, u, SimPushParams(0.05))),
+      "ProbeSim"    -> sparkJobsIn(ProbeSim.query(lg, u, ProbeSim.Params(numWalks = 100))),
+      "TopSim"      -> sparkJobsIn(TopSim.query(lg, u, TopSim.Params(T = 3, invH = 100))),
+      "SLING"       -> sparkJobsIn(Sling.query(lg, sl, u, c)),
+      "PRSim"       -> sparkJobsIn(PrSim.query(lg, pr, u, c)),
+      "READS"       -> sparkJobsIn(Reads.query(lg, rd, u)),
+      "TSF"         -> sparkJobsIn(Tsf.query(lg, tf, u, rq = 10, c = c)),
     )
-    assert(jobs.forall(_._2 == 0), s"Spark jobs per query: $jobs")
+    assert(jobs.forall(_._2 == 0), s"Spark jobs per build and query: $jobs")
+  }
+
+  // ---------------- Parameter validation ----------------
+
+  test("competitor parameters out of range fail fast") {
+    val lg = graph("er60").local; val u = firstQuery("er60").toLong
+    def rejects(name: String)(body: => Any): Unit = {
+      val e = intercept[IllegalArgumentException](body)
+      assert(e.getMessage.contains(s"$name must be"), e.getMessage)
+    }
+    // First the settings that once answered NaN or {u -> 1}; the builds
+    // with theta = 0 or c = 1 once never returned, so they come last.
+    rejects("samplesPerNode")(Eta.estimate(lg, samplesPerNode = 0, c, maxSteps = 10, seed = 1))
+    rejects("samples")(MonteCarloSim.pairMeetProb(lg, u, Seq(1L), samples = 0, c = c))
+    rejects("numWalks")(ProbeSim.query(lg, u, ProbeSim.Params(numWalks = 0)))
+    rejects("r")(Reads.buildIndex(lg, r = 0, t = 10, c = c))
+    rejects("rg")(Tsf.buildIndex(lg, rg = 0, t = 10))
+    rejects("rq")(Tsf.query(lg, Tsf.buildIndex(lg, rg = 2, t = 5), u, rq = 0, c = c))
+    rejects("T")(TopSim.query(lg, u, TopSim.Params(T = 0, invH = 100)))
+    rejects("c")(Sling.buildIndex(lg, theta = 0.01, c = 1.0, etaSamples = 10))
+    rejects("c")(PrSim.buildIndex(lg, theta = 0.01, c = 1.0, j0 = 5, etaSamples = 10))
+    rejects("theta")(Sling.buildIndex(lg, theta = 0.0, c = c, etaSamples = 10))
+    rejects("theta")(PrSim.buildIndex(lg, theta = 0.0, c = c, j0 = 5, etaSamples = 10))
   }
 
   // ---------------- READS ----------------
@@ -190,8 +220,8 @@ class BaselinesSpec extends SparkSpec {
   for (name <- Seq("toy", "er60")) {
     test(s"READS approximates exact SimRank on $name") {
       val g = graph(name); val t = truth(name); val u = firstQuery(name)
-      val idx = Reads.buildIndex(g, r = 1500, t = 15, c = c)
-      val est = Reads.query(g, idx, u)
+      val idx = Reads.buildIndex(g.local, r = 1500, t = 15, c = c)
+      val est = Reads.query(g.local, idx, u)
       val err = Metrics.avgErrorAtK(t(u), est, u, 20)
       assert(err < 0.06, s"avgErr@20 = $err")
     }
@@ -199,7 +229,7 @@ class BaselinesSpec extends SparkSpec {
 
   test("READS index has ~n*r walk starts") {
     val g   = graph("toy")
-    val idx = Reads.buildIndex(g, r = 20, t = 5, c = c)
+    val idx = Reads.buildIndex(g.local, r = 20, t = 5, c = c)
     assert(idx.walks.length == g.numNodes * 20)
     idx.walks.zipWithIndex.foreach { case (walk, id) => assert(walk(0) == id / 20, s"walk $id") }
   }
@@ -207,9 +237,9 @@ class BaselinesSpec extends SparkSpec {
   for (name <- Seq("toy", "er60", "plU60")) {
     test(s"READS query equals the walk-pairing oracle on $name") {
       val g   = graph(name)
-      val idx = Reads.buildIndex(g, r = 40, t = 8, c = c, seed = 5)
+      val idx = Reads.buildIndex(g.local, r = 40, t = 8, c = c, seed = 5)
       for (u <- Seq(firstQuery(name), g.local.n - 1))
-        assert(Reads.query(g, idx, u) == TestRefs.readsPairing(g.local, u, 40, 8, c, seed = 5), s"u=$u")
+        assert(Reads.query(g.local, idx, u) == TestRefs.readsPairing(g.local, u, 40, 8, c, seed = 5), s"u=$u")
     }
   }
 
@@ -217,7 +247,7 @@ class BaselinesSpec extends SparkSpec {
 
   test("TSF one-way positions follow real edges") {
     val g   = graph("er60")
-    val idx = Tsf.buildIndex(g, rg = 3, t = 5)
+    val idx = Tsf.buildIndex(g.local, rg = 3, t = 5)
     val lg  = g.local
     // position after 1 step must be an in-neighbor of the start node
     for (steps <- idx.positions; node <- 0 until lg.n if steps(1)(node) >= 0)
@@ -227,9 +257,9 @@ class BaselinesSpec extends SparkSpec {
   for (name <- Seq("toy", "er60", "plU60")) {
     test(s"TSF query equals the meeting-sum oracle on $name") {
       val g   = graph(name)
-      val idx = Tsf.buildIndex(g, rg = 12, t = 6, seed = 3)
+      val idx = Tsf.buildIndex(g.local, rg = 12, t = 6, seed = 3)
       for (u <- Seq(firstQuery(name), g.local.n - 1)) {
-        val got    = Tsf.query(g, idx, u, rq = 4, c = c, seed = 9)
+        val got    = Tsf.query(g.local, idx, u, rq = 4, c = c, seed = 9)
         val expect = TestRefs.tsfMeetingSum(g.local, u, rg = 12, rq = 4, t = 6, c, indexSeed = 3, querySeed = 9)
         assert(got.keySet == expect.keySet, s"u=$u")
         got.foreach { case (v, s) => assert(math.abs(s - expect(v)) < 1e-12, s"u=$u v=$v: $s vs ${expect(v)}") }
@@ -239,8 +269,8 @@ class BaselinesSpec extends SparkSpec {
 
   test("TSF produces nonnegative scores correlated with the truth") {
     val g = graph("er60"); val t = truth("er60"); val u = firstQuery("er60")
-    val idx = Tsf.buildIndex(g, rg = 60, t = 10)
-    val est = Tsf.query(g, idx, u, rq = 10, c = c)
+    val idx = Tsf.buildIndex(g.local, rg = 60, t = 10)
+    val est = Tsf.query(g.local, idx, u, rq = 10, c = c)
     est.values.foreach(v => assert(v >= 0.0))
     // TSF may overestimate (re-meetings counted) but ranking should broadly agree
     val topTruth = Metrics.topK(t(u), u, 5).map(_.toLong).toSet
@@ -255,7 +285,7 @@ class BaselinesSpec extends SparkSpec {
     // off-diagonal SimRank from node 0 is exactly 0 — precision is undefined
     // there; use a graph with nonzero scores instead.
     val g = graph("er60"); val t = truth("er60"); val u = firstQuery("er60")
-    val est = TopSim.query(g, u, TopSim.Params(T = 4, invH = 10000, H = 1000, eta = 1e-6))
+    val est = TopSim.query(g.local, u, TopSim.Params(T = 4, invH = 10000, H = 1000, eta = 1e-6))
     est.values.foreach(v => assert(v >= 0.0))
     // no last/first-meeting correction: values may overestimate, but the
     // ranking should overlap the truth substantially
@@ -265,8 +295,8 @@ class BaselinesSpec extends SparkSpec {
 
   test("TopSim truncation degrades accuracy monotonically in T") {
     val g = graph("er60"); val t = truth("er60"); val u = firstQuery("er60")
-    val shallow = TopSim.query(g, u, TopSim.Params(T = 1, invH = 10000))
-    val deep    = TopSim.query(g, u, TopSim.Params(T = 4, invH = 10000))
+    val shallow = TopSim.query(g.local, u, TopSim.Params(T = 1, invH = 10000))
+    val deep    = TopSim.query(g.local, u, TopSim.Params(T = 4, invH = 10000))
     val pS = Metrics.precisionAtK(t(u), shallow, u, 10)
     val pD = Metrics.precisionAtK(t(u), deep, u, 10)
     assert(pD >= pS - 0.2, s"deep $pD vs shallow $pS")
@@ -274,6 +304,6 @@ class BaselinesSpec extends SparkSpec {
 
   test("TopSim on a dead-end query returns only the query node") {
     val g = TestGraphs.star(spark)
-    assert(TopSim.query(g, 3, TopSim.Params(T = 3, invH = 100)) == Map(3L -> 1.0))
+    assert(TopSim.query(g.local, 3, TopSim.Params(T = 3, invH = 100)) == Map(3L -> 1.0))
   }
 }

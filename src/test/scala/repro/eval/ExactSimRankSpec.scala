@@ -55,7 +55,7 @@ class ExactSimRankSpec extends SparkSpec {
     val g  = TestGraphs.all(spark).toMap.apply("toy")
     val s  = ExactSimRank.allPairs(g.local, c, 25)
     val vs = (0 until g.local.n).map(_.toLong)
-    val mc = MonteCarloSim.pairMeetProb(g, u = 0, vs, samples = 40000, c = c)
+    val mc = MonteCarloSim.pairMeetProb(g.local, u = 0, vs, samples = 40000, c = c)
     vs.foreach { v =>
       if (v != 0)
         assert(math.abs(mc(v) - s(0)(v.toInt)) < 0.02,

@@ -12,7 +12,14 @@ class HarnessSpec extends SparkSpec {
     val q2 = Datasets.queryNodes(g, 5, seed = 9)
     assert(q1 == q2 && q1.size == 5)
     q1.foreach(u => assert(g.local.inDeg(u.toInt) > 0))
-    assert(Datasets.queryNodes(g, 5, seed = 10) != q1 || true) // different seed allowed to differ
+    val q3 = Datasets.queryNodes(g, 5, seed = 10)
+    assert(q3.distinct.size == 5)
+    q3.foreach(u => assert(g.local.inDeg(u.toInt) > 0))
+  }
+
+  test("queryNodes fails when fewer nodes than asked have in-edges") {
+    val e = intercept[IllegalArgumentException](Datasets.queryNodes(TestGraphs.star(spark), 2))
+    assert(e.getMessage.contains("found 1 of 2"), e.getMessage)
   }
 
   test("harness produces sane rows for SimPush on a tiny dataset") {
