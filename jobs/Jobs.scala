@@ -49,7 +49,8 @@ object SimPushQueryJob {
     val p = SimPushParams(eps)
     val r = SimPush.singleSource(ds.graph, u, p)
     println(s"query u=$u eps=$eps: L=${r.L} L*=${p.lStar} levelsPushed=${r.levelsPushed} " +
-      s"attention=${r.attentionCount} G_u edges=${r.sourceGraphEdges} time=${r.millis}ms")
+      s"attention=${r.attentionCount} G_u edges=${r.sourceGraphEdges} " +
+      f"time=${r.millis}%.3fms")
     Metrics.topKEst(r.scores, u, k).foreach { v =>
       println(f"  v=$v%8d  s=${r.scores(v)}%.6f")
     }

@@ -2,7 +2,7 @@ package repro.baselines
 
 import java.util.SplittableRandom
 
-import repro.graph.LocalGraph
+import repro.graph.{LocalGraph, NodeScores}
 
 /** ProbeSim [21] (Section 2.2): the previous index-free state of the art and
   * SimPush's headline competitor.
@@ -32,12 +32,14 @@ object ProbeSim {
   }
 
   def query(lg: LocalGraph, u: Long, p: Params): Map[Long, Double] = {
-    val acc = scala.collection.mutable.HashMap.empty[Long, Double]
+    val acc = new NodeScores.Accumulator(lg.n)
     for (id <- 0 until p.numWalks) {
       val walk = lg.sqrtCWalk(u.toInt, p.c, p.maxSteps, new SplittableRandom(RandomWalks.mix(p.seed, id)))
-      probe(lg, walk, p.c, p.prune).foreach { case (v, f) => acc.update(v, acc.getOrElse(v, 0.0) + f) }
+      val f    = probe(lg, walk, p.c, p.prune)
+      f.ids.indices.foreach(i => acc.add(f.ids(i), f.vals(i)))
     }
-    acc.iterator.map { case (v, s) => v -> s / p.numWalks }.toMap - u + (u -> 1.0)
+    val sum = acc.result()
+    new NodeScores(sum.ids, sum.vals.map(_ / p.numWalks)) - u + (u -> 1.0)
   }
 
   /** All probes of one walk `walk = (w_0, .., w_T)`: for every `v`, the sum
@@ -47,18 +49,18 @@ object ProbeSim {
     * each push and cancelling the mass on `w_j` once it sits at step `j`,
     * `j in [1, t)`.
     */
-  def probe(lg: LocalGraph, walk: Array[Int], c: Double, prune: Double): Map[Long, Double] = {
-    val acc = scala.collection.mutable.HashMap.empty[Long, Double]
+  def probe(lg: LocalGraph, walk: Array[Int], c: Double, prune: Double): NodeScores = {
+    val acc = new NodeScores.Accumulator(lg.n)
     for (t <- 1 until walk.length) {
-      var r = Map(walk(t).toLong -> 1.0)
+      var r = NodeScores.single(walk(t), 1.0)
       var j = t
       while (j > 0 && r.nonEmpty) {
-        r = lg.push(r.filter(_._2 >= prune), c, transpose = true)
+        r = lg.push(r.keep((_, x) => x >= prune), c, transpose = true)
         j -= 1
-        if (j >= 1) r -= walk(j).toLong
+        if (j >= 1) r = r.removed(walk(j))
       }
-      r.foreach { case (v, f) => acc.update(v, acc.getOrElse(v, 0.0) + f) }
+      r.ids.indices.foreach(i => acc.add(r.ids(i), r.vals(i)))
     }
-    acc.toMap
+    acc.result()
   }
 }

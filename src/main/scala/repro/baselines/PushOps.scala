@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.graph.LocalGraph
+import repro.graph.{LocalGraph, NodeScores}
 
 /** Level-wise push primitives shared by the baseline methods, all on the
   * driver CSR kernel [[repro.graph.LocalGraph.push]].
@@ -14,7 +14,7 @@ import repro.graph.LocalGraph
 object PushOps {
 
   /** `levels(l)` maps a node to its mass after `l` pushes. */
-  type Levels = IndexedSeq[Map[Long, Double]]
+  type Levels = IndexedSeq[NodeScores]
 
   /** Levels 0..maxLevel of a push from `seed` (fewer if a level empties):
     * `h^{(l)}(seed, .)`, or `h^{(l)}(., seed)` with `transpose`. Every pushed
@@ -23,9 +23,9 @@ object PushOps {
     */
   def levels(lg: LocalGraph, seed: Long, c: Double, maxLevel: Int, prune: Double,
              transpose: Boolean = false): Levels = {
-    val out = scala.collection.mutable.ArrayBuffer[Map[Long, Double]](Map(seed -> 1.0))
+    val out = scala.collection.mutable.ArrayBuffer(NodeScores.single(seed.toInt, 1.0))
     while (out.size <= maxLevel && out.last.nonEmpty)
-      out += lg.push(out.last, c, transpose).filter(_._2 >= prune)
+      out += lg.push(out.last, c, transpose).keep((_, h) => h >= prune)
     out.toIndexedSeq
   }
 

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.graph.LocalGraph
+import repro.graph.{LocalGraph, NodeScores}
 
 /** TopSim [15] (Section 2.2): index-free. Expands a truncated random-walk
   * tree of depth `T` from the query node, keeping at most `H` nodes per
@@ -30,22 +30,25 @@ object TopSim {
 
   def query(lg: LocalGraph, u: Long, p: Params): Map[Long, Double] = {
     // Truncated forward expansion: h^{(l)}(u, .) with TopSim's pruning.
-    val levels = scala.collection.mutable.ArrayBuffer[Map[Long, Double]](Map(u -> 1.0))
+    val levels = scala.collection.mutable.ArrayBuffer(NodeScores.single(u.toInt, 1.0))
     while (levels.size <= p.T && levels.last.nonEmpty) {
-      val expandable = levels.last.filter { case (v, h) =>
-        h >= p.eta && lg.inDeg(v.toInt) <= p.invH
-      }
-      levels += lg.push(expandable, p.c).toSeq.sortBy { case (v, h) => (-h, v) }.take(p.H).toMap
+      val next = lg.push(levels.last.keep((v, h) => h >= p.eta && lg.inDeg(v) <= p.invH), p.c)
+      // the H largest, ties to the smaller id
+      val top = new java.util.BitSet(lg.n)
+      next.ids.indices.sortBy(i => (-next.vals(i), next.ids(i))).take(p.H).foreach(i => top.set(next.ids(i)))
+      levels += next.keep((v, _) => top.get(v))
     }
 
     // Reverse pass from each retained (lvl, w) meeting candidate down to
     // level lvl; no last-meeting correction — TopSim counts re-meetings.
-    val acc = scala.collection.mutable.HashMap.empty[Long, Double]
-    for (lvl <- 1 until levels.size; (w, h) <- levels(lvl)) {
+    val acc = new NodeScores.Accumulator(lg.n)
+    for (lvl <- 1 until levels.size; (w, h) <- levels(lvl).ids.zip(levels(lvl).vals)) {
       val rev = PushOps.levels(lg, w, p.c, lvl, p.eta, transpose = true)
-      if (lvl < rev.size)
-        rev(lvl).foreach { case (v, hv) => acc.update(v, acc.getOrElse(v, 0.0) + h * hv) }
+      if (lvl < rev.size) {
+        val r = rev(lvl)
+        r.ids.indices.foreach(i => acc.add(r.ids(i), h * r.vals(i)))
+      }
     }
-    acc.toMap - u + (u -> 1.0)
+    acc.result() - u + (u -> 1.0)
   }
 }

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.graph.LocalGraph
+import repro.graph.{LocalGraph, NodeScores}
 
 /** Stage 2 of SimPush (Section 4.2): hitting probabilities between attention
   * nodes *within* `G_u` (Algorithm 3) and the last-meeting probabilities
@@ -15,11 +15,11 @@ object LastMeeting {
   /** Key = (absolute level in G_u, node id). */
   type LevelNode = (Int, Long)
 
-  /** The attention nodes in level order, each level in its `keysIterator`
+  /** The attention nodes in level order, each level in ascending node
     * order: the row and column order of [[hittingProbs]].
     */
   def attentionIndex(sg: SourceGraph): IndexedSeq[LevelNode] =
-    (1 to sg.L).flatMap(l => sg.attention(l).keysIterator.map(w => (l, w)))
+    (1 to sg.L).flatMap(l => NodeScores.from(sg.attention(l)).keysIterator.map(w => (l, w)))
 
   /** `first(l)` = index of the first level-`l` attention node, for levels
     * 0..L+1; `first(L + 1)` is the attention count.
@@ -36,34 +36,54 @@ object LastMeeting {
     * entries for targets on the same or a shallower level are 0.
     *
     * The sweep goes from level L up to level 1 and keeps the rows of one
-    * level: a frontier node's row is the sum of its in-neighbours' rows one
-    * level deeper, scaled by `sqrt(c) / din` (its in-degree in G equals the
-    * one in G_u, Section 4.1). Only nodes that reach an attention node get
-    * a row.
+    * level in an `n`-slot array indexed by node: a frontier node's row is the
+    * sum of its in-neighbours' rows one level deeper, in CSR order, scaled by
+    * `sqrt(c) / din` (its in-degree in G equals the one in G_u, Section 4.1).
+    * Only nodes that reach an attention node get a row. The two level arrays
+    * are reused: each is cleared of its rows before it takes the next level.
     */
   def hittingProbs(sg: SourceGraph, c: Double, local: LocalGraph): Array[Array[Double]] = {
     val sqrtC = math.sqrt(c)
     val first = levelStarts(sg)
     val k     = first(sg.L + 1)
     val hp    = new Array[Array[Double]](k)
-    var up    = Map.empty[Long, Array[Double]] // rows of level l + 1
+    var up    = new Array[Array[Double]](local.n) // rows of level l + 1, by node
+    var cur   = new Array[Array[Double]](local.n) // rows of level l
+    var upIds = Array.emptyIntArray               // nodes with a row in `up`
     for (l <- sg.L to 1 by -1) {
       val deeper = first(l + 1)
-      val pulled = if (up.isEmpty) Map.empty[Long, Array[Double]] else sg.h(l).keysIterator.flatMap { x =>
-        val ins = local.inNeighbors(x.toInt).flatMap(y => up.get(y.toLong))
-        Option.when(ins.nonEmpty) {
-          val f   = sqrtC / local.inDeg(x.toInt)
-          val row = new Array[Double](k)
-          ins.foreach { r => var b = deeper; while (b < k) { row(b) += f * r(b); b += 1 } }
-          x -> row
+      val ids    = NodeScores.from(sg.h(l)).ids
+      val att    = NodeScores.from(sg.attention(l)).ids
+      var j      = 0
+      while (j < ids.length) {
+        val x   = ids(j)
+        val f   = sqrtC / local.inDeg(x)
+        var row = null: Array[Double]
+        var i   = local.inStart(x)
+        val end = local.inStart(x + 1)
+        while (i < end) {
+          val r = up(local.inSrc(i))
+          if (r != null) {
+            if (row == null) row = new Array[Double](k)
+            var b = deeper; while (b < k) { row(b) += f * r(b); b += 1 }
+          }
+          i += 1
         }
-      }.toMap
-      up = sg.attention(l).keysIterator.zipWithIndex.foldLeft(pulled) { case (rows, (w, i)) =>
-        val row = rows.getOrElse(w, new Array[Double](k))
-        row(first(l) + i) = 1.0
-        hp(first(l) + i) = row
-        rows.updated(w, row)
+        cur(x) = row
+        j += 1
       }
+      j = 0
+      while (j < att.length) {
+        val w = att(j)
+        if (cur(w) == null) cur(w) = new Array[Double](k)
+        cur(w)(first(l) + j) = 1.0
+        hp(first(l) + j) = cur(w)
+        j += 1
+      }
+      j = 0
+      while (j < upIds.length) { up(upIds(j)) = null; j += 1 }
+      val t = up; up = cur; cur = t
+      upIds = ids ++ att
     }
     hp
   }

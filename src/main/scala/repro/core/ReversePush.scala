@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.graph.Graph
+import repro.graph.{Graph, NodeScores}
 
 /** Stage 3 of SimPush (Section 4.3, Algorithm 5): push the residues
   * `r^{(l)}(w) = h^{(l)}(u,w) * gamma^{(l)}(w)` of all attention nodes down
@@ -11,7 +11,8 @@ import repro.graph.Graph
   * Residues aggregated at the same node and level are combined and pushed
   * together; a residue is pushed only if `sqrt(c) * r >= epsH` (line 4),
   * which bounds the work by O(m log(1/eps)) (Lemma 7). Each level is one
-  * transposed [[repro.graph.LocalGraph.push]] on the driver CSR.
+  * transposed [[repro.graph.LocalGraph.push]] on the driver CSR, whose dense
+  * accumulator also takes the next level's own residues.
   */
 object ReversePush {
 
@@ -22,19 +23,19 @@ object ReversePush {
     */
   def run(g: Graph, residues: Map[(Int, Long), Double], L: Int, c: Double,
           epsH: Double): Map[Long, Double] = {
-    val local  = g.local
-    val sqrtC  = math.sqrt(c)
-    def seeded(l: Int): Map[Long, Double] = residues.collect { case ((lv, w), r) if lv == l => w -> r }
-    // state: the residues at `level`, pushed one level down per iteration;
-    // what reaches level 0 is the score.
+    val local = g.local
+    val sqrtC = math.sqrt(c)
+    val seeds = residues.groupMap(_._1._1) { case ((_, w), r) => w -> r }
+      .map { case (l, rs) => l -> NodeScores.from(rs.toMap) }
+    def seeded(l: Int): NodeScores = seeds.getOrElse(l, NodeScores.empty)
+    // state: the residues at `level`, pushed one level down per iteration
+    // and joined by that level's own residues; what reaches level 0 is the
+    // score.
     var state = seeded(L)
     var level = L
     while (level >= 1) {
       // r flows from v' to each out-neighbor v with weight sqrt(c)/din(v).
-      val pushed = local.push(state.filter { case (_, r) => sqrtC * r >= epsH }, c, transpose = true)
-      state = seeded(level - 1).foldLeft(pushed) { case (acc, (v, r)) =>
-        acc.updated(v, acc.getOrElse(v, 0.0) + r)
-      }
+      state = local.push(state.keep((_, r) => sqrtC * r >= epsH), c, transpose = true, plus = seeded(level - 1))
       level -= 1
     }
     state

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.graph.Graph
+import repro.graph.{Graph, NodeScores}
 
 /** Parameters of a SimPush query (Definition 1 + Algorithm 1).
   *
@@ -25,8 +25,10 @@ final case class SimPushParams(
 
 /** Result of a single-source SimPush query.
   *
-  * @param scores sparse `\tilde s(u, v)` including `u -> 1`; absent nodes are 0
+  * @param scores sparse `\tilde s(u, v)` including `u -> 1`; absent nodes
+  *               are 0. A [[repro.graph.NodeScores]]: two primitive arrays.
   * @param levelsPushed levels Source-Push propagated to certify `L`
+  * @param nanos  wall time of the query
   */
 final case class SimPushResult(
     u: Long,
@@ -35,8 +37,10 @@ final case class SimPushResult(
     levelsPushed: Int,
     attentionCount: Int,
     sourceGraphEdges: Long,
-    millis: Long,
-)
+    nanos: Long,
+) {
+  def millis: Double = nanos / 1e6
+}
 
 /** SimPush (Algorithm 1): index-free approximate single-source SimRank.
   *
@@ -53,13 +57,12 @@ object SimPush {
     val t0 = System.nanoTime()
     val sg = SourcePush.run(g, u, p.c, p.epsH)
     val scores: Map[Long, Double] =
-      if (sg.L == 0 || sg.attentionCount == 0) Map.empty
+      if (sg.L == 0 || sg.attentionCount == 0) NodeScores.empty
       else {
         val res = LastMeeting.residues(sg, p.c, g.local)
         ReversePush.run(g, res, sg.L, p.c, p.epsH)
       }
     val withSelf = scores - u + (u -> 1.0) // Algorithm 5, line 10
-    val millis   = (System.nanoTime() - t0) / 1000000
-    SimPushResult(u, withSelf, sg.L, sg.levelsPushed, sg.attentionCount, sg.numEdges, millis)
+    SimPushResult(u, withSelf, sg.L, sg.levelsPushed, sg.attentionCount, sg.numEdges, System.nanoTime() - t0)
   }
 }

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.graph.Graph
+import repro.graph.{Graph, NodeScores}
 
 /** The source graph `G_u` produced by Source-Push (Algorithm 2). `G_u` is
   * the per-query working set of SimPush: by Lemma 2 it holds O(1/eps)
@@ -15,7 +15,8 @@ import repro.graph.Graph
   *                     attention node, or 0 if none does
   * @param levelsPushed levels propagated to certify L (`L <= levelsPushed <= L*`)
   * @param h            `h(l)(node)` = hitting probability `h^{(l)}(u, node)`,
-  *                     for levels 0..L (exact, from exhaustive propagation)
+  *                     for levels 0..L (exact, from exhaustive propagation);
+  *                     each level a [[repro.graph.NodeScores]]
   * @param numEdges     number of `G_u` edges: the in-degree sum over the keys
   *                     of levels 0..L-1
   * @param attention    `attention(l)` = nodes with `h^{(l)}(u, .) >= epsH`,
@@ -71,17 +72,23 @@ object SourcePush {
     val lStar  = maxLevelBound(epsHv, c)
     val sqrtC  = math.sqrt(c)
     val local  = g.local
-    val levels = scala.collection.mutable.ArrayBuffer[Map[Long, Double]](Map(u -> 1.0))
+    val levels = scala.collection.mutable.ArrayBuffer(NodeScores.single(u.toInt, 1.0))
+    var mass   = 1.0 // ‖h^(l)‖₁ of the last level
     var L      = 0
-    while (levels.size <= lStar && levels.last.valuesIterator.sum * sqrtC >= epsHv) {
-      levels += local.push(levels.last, c)
-      if (levels.last.valuesIterator.exists(_ >= epsHv)) L = levels.size - 1
+    while (levels.size <= lStar && mass * sqrtC >= epsHv) {
+      val next = local.push(levels.last, c)
+      var max  = 0.0
+      var i    = 0
+      mass = 0.0
+      while (i < next.size) { val x = next.vals(i); mass += x; if (x > max) max = x; i += 1 }
+      levels += next
+      if (max >= epsHv) L = levels.size - 1
     }
     val h = levels.take(L + 1).toIndexedSeq
     // Every frontier node is expanded, so its in-edges are exactly the G_u
     // edges into this level from the next one.
-    val numEdges  = h.init.iterator.flatMap(_.keysIterator).map(v => local.inDeg(v.toInt).toLong).sum
-    val attention = h.indices.map(l => if (l == 0) Map.empty[Long, Double] else h(l).filter(_._2 >= epsHv))
+    val numEdges  = h.init.iterator.flatMap(_.ids).map(v => local.inDeg(v).toLong).sum
+    val attention = h.indices.map(l => if (l == 0) NodeScores.empty else h(l).keep((_, x) => x >= epsHv))
     SourceGraph(u, L, levels.size - 1, h, numEdges, attention)
   }
 

@@ -17,7 +17,7 @@ object ExactSimRank {
   def allPairs(lg: LocalGraph, c: Double, iters: Int = 25): Array[Array[Double]] = {
     val n = lg.n
     // Materialize adjacency once; the hot loops below touch it n times each.
-    val inAdj = Array.tabulate(n)(v => lg.inNeighbors(v).toArray)
+    val inAdj = Array.tabulate(n)(v => Array.range(lg.inStart(v), lg.inStart(v + 1)).map(lg.inSrc))
     val s = Array.tabulate(n)(i => { val r = new Array[Double](n); r(i) = 1.0; r })
     val u = Array.fill(n)(new Array[Double](n))
     var k = 0

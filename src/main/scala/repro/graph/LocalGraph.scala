@@ -2,8 +2,6 @@ package repro.graph
 
 import java.util.SplittableRandom
 
-import scala.collection.mutable
-
 /** Compact CSR copy of a directed graph, held on the driver. It runs every
   * single-source level push ([[push]]: Source-Push, Reverse-Push and the
   * baselines' pushes), every random-walk simulation and the exact reference
@@ -26,9 +24,13 @@ final class LocalGraph(
   /** In-degree of node `v` in the full graph. */
   def inDeg(v: Int): Int = inOff(v + 1) - inOff(v)
 
-  /** In-neighbors of `v` (nodes `x` with an edge `x -> v`). */
-  def inNeighbors(v: Int): IndexedSeq[Int] =
-    (inOff(v) until inOff(v + 1)).map(inAdj)
+  /** `v`'s in-edges are the slots `inStart(v) until inStart(v + 1)`; slot
+    * `i` holds the edge `inSrc(i) -> v`. An allocation-free loop for hot code.
+    */
+  def inStart(v: Int): Int = inOff(v)
+
+  /** Source node of in-edge slot `i` (see [[inStart]]). */
+  def inSrc(i: Int): Int = inAdj(i)
 
   /** Out-neighbors of `v` (nodes `y` with an edge `v -> y`). */
   def outNeighbors(v: Int): IndexedSeq[Int] =
@@ -63,32 +65,47 @@ final class LocalGraph(
   }
 
   /** Push a sparse frontier one level (one step of the \sqrt{c}-walk
-    * transition or of its transpose).
+    * transition or of its transpose); the one push kernel of every method.
     *
     * Along in-edges (`transpose = false`, the walk direction) the mass
     * `m(v)` moves to every in-neighbor `x` of `v` as `sqrt(c) * m(v) / din(v)`:
     * from `h^{(l)}(u, .)` this gives `h^{(l+1)}(u, .)`. Along out-edges
     * (`transpose = true`) it moves to every out-neighbor `y` of `v` as
     * `sqrt(c) * m(v) / din(y)`: from `h^{(l)}(., w)` this gives
-    * `h^{(l+1)}(., w)`. A node that receives no mass is absent from the
-    * result; thresholds are the caller's, applied to `frontier`.
+    * `h^{(l+1)}(., w)`. Then `plus` is added. A node that receives nothing is
+    * absent from the result; thresholds are the caller's, applied to
+    * `frontier`.
+    *
+    * The frontier goes in ascending node order over the raw CSR into a
+    * dense `n`-slot accumulator kept with this graph, so each target sums
+    * its shares in ascending source order. A frontier that is not a
+    * [[NodeScores]] is sorted first.
     */
-  def push(frontier: Map[Long, Double], c: Double, transpose: Boolean = false): Map[Long, Double] = {
+  def push(frontier: collection.Map[Long, Double], c: Double, transpose: Boolean = false,
+           plus: NodeScores = NodeScores.empty): NodeScores = acc.synchronized {
     val sqrtC = math.sqrt(c)
+    val f     = NodeScores.from(frontier)
     val (off, adj) = if (transpose) (outOff, outAdj) else (inOff, inAdj)
-    val next = mutable.HashMap.empty[Long, Double]
-    frontier.foreach { case (node, mass) =>
-      val v = node.toInt
-      var i = off(v)
-      while (i < off(v + 1)) {
-        val y = adj(i)
-        val w = sqrtC * mass / inDeg(if (transpose) y else v)
-        next.update(y.toLong, next.getOrElse(y.toLong, 0.0) + w)
-        i += 1
+    var j = 0
+    while (j < f.ids.length) {
+      val v    = f.ids(j)
+      val mass = f.vals(j)
+      var i    = off(v)
+      val end  = off(v + 1)
+      if (transpose) while (i < end) { val y = adj(i); acc.add(y, sqrtC * mass / inDeg(y)); i += 1 }
+      else if (i < end) {
+        val w = sqrtC * mass / inDeg(v)
+        while (i < end) { acc.add(adj(i), w); i += 1 }
       }
+      j += 1
     }
-    next.toMap
+    j = 0
+    while (j < plus.ids.length) { acc.add(plus.ids(j), plus.vals(j)); j += 1 }
+    acc.result()
   }
+
+  /** Scratch of [[push]]; every push reads it out empty. */
+  private lazy val acc = new NodeScores.Accumulator(n)
 
   /** Simulate two independent \sqrt{c}-walks from `u` and `v` and report
     * whether they ever meet (same node at the same step `>= 1`). With

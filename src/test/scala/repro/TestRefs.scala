@@ -17,6 +17,26 @@ object TestRefs {
   /** Out-degree of `v`: the length of its out-neighbor list. */
   def outDeg(lg: LocalGraph, v: Int): Int = lg.outNeighbors(v).size
 
+  /** In-neighbors of `v` (nodes `x` with an edge `x -> v`), in CSR order. */
+  def inNeighbors(lg: LocalGraph, v: Int): IndexedSeq[Int] =
+    (lg.inStart(v) until lg.inStart(v + 1)).map(lg.inSrc)
+
+  /** The boxed-map level push that [[LocalGraph.push]] replaced, kept as its
+    * reference: the same arithmetic per edge, summed in `HashMap` order.
+    */
+  def push(lg: LocalGraph, frontier: Map[Long, Double], c: Double, transpose: Boolean = false): Map[Long, Double] = {
+    val sqrtC = math.sqrt(c)
+    val next = mutable.HashMap.empty[Long, Double]
+    frontier.foreach { case (node, mass) =>
+      val v = node.toInt
+      (if (transpose) lg.outNeighbors(v) else inNeighbors(lg, v)).foreach { y =>
+        val w = sqrtC * mass / lg.inDeg(if (transpose) y else v)
+        next.update(y.toLong, next.getOrElse(y.toLong, 0.0) + w)
+      }
+    }
+    next.toMap
+  }
+
   /** Max one-sided overestimate `max_v (est - truth)` over `v != u` — SimPush
     * guarantees `\tilde s <= s` (Lemmas 3-4), so this should be ~0 up to
     * float noise.
@@ -87,7 +107,7 @@ object TestRefs {
         val d = lg.inDeg(y)
         if (d > 0) {
           val w = sqrtC * out(l)(y) / d
-          lg.inNeighbors(y).foreach(x => out(l + 1)(x) += w)
+          inNeighbors(lg, y).foreach(x => out(l + 1)(x) += w)
         }
       }
     }
@@ -110,7 +130,7 @@ object TestRefs {
         val q = new Array[Double](lg.n)
         for (y <- 0 until lg.n if p(y) > 0 && lg.inDeg(y) > 0) {
           val w = sqrtC * p(y) / lg.inDeg(y)
-          lg.inNeighbors(y).foreach(x => q(x) += w)
+          inNeighbors(lg, y).foreach(x => q(x) += w)
         }
         met += q(walk(j))
         q(walk(j)) = 0.0
@@ -126,7 +146,7 @@ object TestRefs {
     */
   def guInNeighbors(sg: SourceGraph, lg: LocalGraph): Map[(Int, Long), Seq[Long]] =
     (0 until sg.L).flatMap { l =>
-      sg.h(l).keys.map(v => (l, v) -> lg.inNeighbors(v.toInt).map(_.toLong))
+      sg.h(l).keys.map(v => (l, v) -> inNeighbors(lg, v.toInt).map(_.toLong))
     }.toMap
 
   /** Exact hitting probabilities within G_u from a node at `fromLevel`:
@@ -195,7 +215,7 @@ object TestRefs {
         Array.tabulate(n) { b =>
           if (a == b) 1.0
           else {
-            val ia = lg.inNeighbors(a); val ib = lg.inNeighbors(b)
+            val ia = inNeighbors(lg, a); val ib = inNeighbors(lg, b)
             if (ia.isEmpty || ib.isEmpty) 0.0
             else {
               var acc = 0.0

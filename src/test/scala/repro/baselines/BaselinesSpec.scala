@@ -251,7 +251,7 @@ class BaselinesSpec extends SparkSpec {
     val lg  = g.local
     // position after 1 step must be an in-neighbor of the start node
     for (steps <- idx.positions; node <- 0 until lg.n if steps(1)(node) >= 0)
-      assert(lg.inNeighbors(node).contains(steps(1)(node)))
+      assert(TestRefs.inNeighbors(lg, node).contains(steps(1)(node)))
   }
 
   for (name <- Seq("toy", "er60", "plU60")) {

@@ -2,7 +2,7 @@ package repro.baselines
 
 import java.util.SplittableRandom
 
-import repro.{SparkSpec, TestGraphs}
+import repro.{SparkSpec, TestGraphs, TestRefs}
 import repro.graph.LocalGraph
 
 /** The \sqrt{c}-walks ProbeSim samples: `LocalGraph.sqrtCWalk` seeded per
@@ -27,7 +27,7 @@ class RandomWalksSpec extends SparkSpec {
     walks(lg, 3, 300, 8, seed = 2).foreach { path =>
       assert(path.length <= 9)
       path.sliding(2).foreach {
-        case Array(a, b) => assert(lg.inNeighbors(a).contains(b), s"step $a -> $b not an in-edge")
+        case Array(a, b) => assert(TestRefs.inNeighbors(lg, a).contains(b), s"step $a -> $b not an in-edge")
         case _           =>
       }
     }

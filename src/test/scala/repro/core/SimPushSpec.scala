@@ -1,8 +1,8 @@
 package repro.core
 
 import repro.{SparkSpec, TestGraphs, TestRefs}
-import repro.eval.{ExactSimRank, Metrics}
-import repro.graph.Graph
+import repro.eval.{Datasets, ExactSimRank, Metrics}
+import repro.graph.{Graph, NodeScores}
 
 /** End-to-end SimPush against exact SimRank — the Theorem 1 guarantee
   * `s(u,v) - \tilde s(u,v) <= eps` plus the one-sided underestimation that
@@ -32,16 +32,10 @@ class SimPushSpec extends SparkSpec {
     assert(over <= 1e-5, s"overestimate $over — SimPush must underestimate")
   }
 
-  // The composition the query benchmark times layer by layer; it must be the
-  // same program as singleSource, and it compiles against the layer APIs
-  // (including simbench's 7-argument `SourcePush.run`).
-  for {
-    name <- Seq("cycle8", "path6", "complete5", "toy", "er60", "pl80", "plU60")
-    eps  <- Seq(0.2, 0.1)
-  } test(s"layer-by-layer composition equals singleSource on $name at eps=$eps") {
-    val g  = TestGraphs.all(spark).toMap.apply(name)
-    val u  = (0 until g.numNodes.toInt).find(g.local.inDeg(_) > 0).get.toLong
-    val p  = SimPushParams(eps, seed = 71)
+  /** The composition of public layer calls that the query benchmark times
+    * layer by layer (with simbench's 7-argument `SourcePush.run`).
+    */
+  private def composed(g: Graph, u: Long, p: SimPushParams): Map[Long, Double] = {
     val sg = SourcePush.run(g, u, p.c, p.epsH, p.delta, p.maxWalks, p.seed)
     val scores =
       if (sg.L == 0 || sg.attentionCount == 0) Map.empty[Long, Double]
@@ -51,7 +45,30 @@ class SimPushSpec extends SparkSpec {
         val res = gm.map { case ((l, w), gamma) => (l, w) -> sg.h(l)(w) * gamma }
         ReversePush.run(g, res, sg.L, p.c, p.epsH)
       }
-    assert(scores - u + (u -> 1.0) == SimPush.singleSource(g, u, p).scores)
+    scores - u + (u -> 1.0)
+  }
+
+  // It must be the same program as singleSource.
+  for {
+    name <- Seq("cycle8", "path6", "complete5", "toy", "er60", "pl80", "plU60")
+    eps  <- Seq(0.2, 0.1)
+  } test(s"layer-by-layer composition equals singleSource on $name at eps=$eps") {
+    val g = TestGraphs.all(spark).toMap.apply(name)
+    val u = (0 until g.numNodes.toInt).find(g.local.inDeg(_) > 0).get.toLong
+    val p = SimPushParams(eps, seed = 71)
+    val r = SimPush.singleSource(g, u, p).scores
+    assert(r.isInstanceOf[NodeScores])
+    assert(composed(g, u, p) == r)
+  }
+
+  test("singleSource is exactly the layer composition on the pokec-lite stand-in") {
+    val g = Datasets.standard(spark).find(_.name == "pokec-lite").get.graph
+    for (u <- Datasets.queryNodes(g, 3); eps <- Seq(0.1, 0.05)) {
+      val p = SimPushParams(eps)
+      val r = SimPush.singleSource(g, u, p).scores
+      assert(r.isInstanceOf[NodeScores] && r.size > 1, s"u=$u eps=$eps")
+      assert(composed(g, u, p) == r, s"u=$u eps=$eps")
+    }
   }
 
   test("self similarity is 1 and absent nodes mean 0") {
@@ -125,7 +142,7 @@ class SimPushSpec extends SparkSpec {
     val r = SimPush.singleSource(g, u, p)
     assert(r.L <= p.lStar)
     assert(r.attentionCount <= math.sqrt(c) / ((1 - math.sqrt(c)) * p.epsH) + 1)
-    assert(r.millis >= 0)
+    assert(r.nanos > 0 && r.millis == r.nanos / 1e6)
   }
 }
 

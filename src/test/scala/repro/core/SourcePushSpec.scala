@@ -91,7 +91,7 @@ class SourcePushSpec extends SparkSpec {
     var expect = 0L
     for (l <- 0 until sg.L; v <- sg.h(l).keysIterator) {
       expect += g.local.inDeg(v.toInt)
-      g.local.inNeighbors(v.toInt).foreach { x =>
+      TestRefs.inNeighbors(g.local, v.toInt).foreach { x =>
         assert(sg.h(l + 1).contains(x.toLong), s"level $l node $v: in-neighbor $x missing one level up")
       }
     }

@@ -63,6 +63,29 @@ class LocalGraphPropSpec extends AnyFunSuite {
     })
   }
 
+  for (transpose <- Seq(false, true))
+    test(s"the array kernel equals the boxed-map reference push (transpose = $transpose)") {
+      // sparse(n) includes the empty frontier; the random graphs have dead ends
+      check(Prop.forAll(graphs.flatMap(lg => sparse(lg.n).map(lg -> _))) { case (lg, a) =>
+        val got  = lg.push(a, c, transpose)
+        val ref  = TestRefs.push(lg, a, c, transpose)
+        val tol  = 1e-15 * a.valuesIterator.sum
+        got.isInstanceOf[NodeScores] && got.keySet == ref.keySet &&
+          got.keysIterator.toSeq == got.keysIterator.toSeq.sorted &&
+          ref.forall { case (v, x) => math.abs(got(v) - x) <= tol }
+      })
+    }
+
+  test("plus joins the pushed mass as one more summand per node") {
+    check(Prop.forAll(graphs.flatMap(lg => Gen.zip(sparse(lg.n), sparse(lg.n)).map(ab => (lg, ab._1, ab._2)))) {
+      case (lg, a, b) =>
+        val pushed = lg.push(a, c, transpose = true)
+        val got    = lg.push(a, c, transpose = true, plus = NodeScores.from(b))
+        got.keySet == pushed.keySet ++ b.keySet &&
+          got.forall { case (v, x) => x == pushed.getOrElse(v, 0.0) + b.getOrElse(v, 0.0) }
+    })
+  }
+
   for (seed <- 1 to 12) {
     test(s"CSR accessors match the naive model (seed $seed)") {
       val (n, es) = randomEdges(seed)
@@ -73,7 +96,7 @@ class LocalGraphPropSpec extends AnyFunSuite {
       for (v <- 0 until n) {
         assert(lg.inDeg(v) == inModel.getOrElse(v, Nil).size, s"inDeg($v)")
         assert(TestRefs.outDeg(lg, v) == outModel.getOrElse(v, Nil).size, s"outDeg($v)")
-        assert(lg.inNeighbors(v).sorted == inModel.getOrElse(v, Nil).sorted, s"in($v)")
+        assert(TestRefs.inNeighbors(lg, v).sorted == inModel.getOrElse(v, Nil).sorted, s"in($v)")
         assert(lg.outNeighbors(v).sorted == outModel.getOrElse(v, Nil).sorted, s"out($v)")
       }
       // degree sums are both m
@@ -93,7 +116,7 @@ class LocalGraphPropSpec extends AnyFunSuite {
         assert(walk.head == start)
         assert(walk.length <= 8)
         walk.sliding(2).foreach {
-          case Array(a, b) => assert(lg.inNeighbors(a).contains(b))
+          case Array(a, b) => assert(TestRefs.inNeighbors(lg, a).contains(b))
           case _           =>
         }
       }
