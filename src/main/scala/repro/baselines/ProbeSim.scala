@@ -35,22 +35,20 @@ object ProbeSim {
     val acc = new NodeScores.Accumulator(lg.n)
     for (id <- 0 until p.numWalks) {
       val walk = lg.sqrtCWalk(u.toInt, p.c, p.maxSteps, new SplittableRandom(RandomWalks.mix(p.seed, id)))
-      val f    = probe(lg, walk, p.c, p.prune)
-      f.ids.indices.foreach(i => acc.add(f.ids(i), f.vals(i)))
+      probe(lg, walk, p.c, p.prune, acc)
     }
     val sum = acc.result()
     new NodeScores(sum.ids, sum.vals.map(_ / p.numWalks)) - u + (u -> 1.0)
   }
 
-  /** All probes of one walk `walk = (w_0, .., w_T)`: for every `v`, the sum
-    * over `t in [1, T]` of the probability that a \sqrt{c}-walk from `v`
-    * first meets the walk at step `t`. The probe of step `t` pushes from
-    * `w_t` along out-edges for `t` levels, dropping mass below `prune` before
-    * each push and cancelling the mass on `w_j` once it sits at step `j`,
-    * `j in [1, t)`.
+  /** All probes of one walk `walk = (w_0, .., w_T)`, added into `acc`: for
+    * every `v`, the sum over `t in [1, T]` of the probability that a
+    * \sqrt{c}-walk from `v` first meets the walk at step `t`. The probe of
+    * step `t` pushes from `w_t` along out-edges for `t` levels, dropping mass
+    * below `prune` before each push and cancelling the mass on `w_j` once it
+    * sits at step `j`, `j in [1, t)`.
     */
-  def probe(lg: LocalGraph, walk: Array[Int], c: Double, prune: Double): NodeScores = {
-    val acc = new NodeScores.Accumulator(lg.n)
+  def probe(lg: LocalGraph, walk: Array[Int], c: Double, prune: Double, acc: NodeScores.Accumulator): Unit =
     for (t <- 1 until walk.length) {
       var r = NodeScores.single(walk(t), 1.0)
       var j = t
@@ -61,6 +59,4 @@ object ProbeSim {
       }
       r.ids.indices.foreach(i => acc.add(r.ids(i), r.vals(i)))
     }
-    acc.result()
-  }
 }

@@ -68,23 +68,20 @@ final class LocalGraph(
     * transition or of its transpose); the one push kernel of every method.
     *
     * Along in-edges (`transpose = false`, the walk direction) the mass
-    * `m(v)` moves to every in-neighbor `x` of `v` as `sqrt(c) * m(v) / din(v)`:
+    * `f(v)` moves to every in-neighbor `x` of `v` as `sqrt(c) * f(v) / din(v)`:
     * from `h^{(l)}(u, .)` this gives `h^{(l+1)}(u, .)`. Along out-edges
     * (`transpose = true`) it moves to every out-neighbor `y` of `v` as
-    * `sqrt(c) * m(v) / din(y)`: from `h^{(l)}(., w)` this gives
+    * `sqrt(c) * f(v) / din(y)`: from `h^{(l)}(., w)` this gives
     * `h^{(l+1)}(., w)`. Then `plus` is added. A node that receives nothing is
-    * absent from the result; thresholds are the caller's, applied to
-    * `frontier`.
+    * absent from the result; thresholds are the caller's, applied to `f`.
     *
     * The frontier goes in ascending node order over the raw CSR into a
     * dense `n`-slot accumulator kept with this graph, so each target sums
-    * its shares in ascending source order. A frontier that is not a
-    * [[NodeScores]] is sorted first.
+    * its shares in ascending source order.
     */
-  def push(frontier: collection.Map[Long, Double], c: Double, transpose: Boolean = false,
+  def push(f: NodeScores, c: Double, transpose: Boolean = false,
            plus: NodeScores = NodeScores.empty): NodeScores = acc.synchronized {
     val sqrtC = math.sqrt(c)
-    val f     = NodeScores.from(frontier)
     val (off, adj) = if (transpose) (outOff, outAdj) else (inOff, inAdj)
     var j = 0
     while (j < f.ids.length) {

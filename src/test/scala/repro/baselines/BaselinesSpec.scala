@@ -3,6 +3,7 @@ package repro.baselines
 import repro.{SparkSpec, TestGraphs, TestRefs}
 import repro.core.{SimPush, SimPushParams, TruthCache}
 import repro.eval.Metrics
+import repro.graph.NodeScores
 
 /** Accuracy and structural tests for the six competitor methods.
   * Monte-Carlo methods get statistical tolerances; push-based ones get
@@ -92,7 +93,9 @@ class BaselinesSpec extends SparkSpec {
         .filter(_.length >= 4).take(5).toSeq
       assert(walks.size == 5, s"only ${walks.size} walks of 3+ steps")
       walks.foreach { walk =>
-        val got = ProbeSim.probe(lg, walk, c, prune = 0.0)
+        val acc = new NodeScores.Accumulator(lg.n)
+        ProbeSim.probe(lg, walk, c, prune = 0.0, acc)
+        val got = acc.result()
         val dp  = TestRefs.firstMeetingDP(lg, walk, c)
         for (v <- 0 until lg.n)
           assert(math.abs(got.getOrElse(v.toLong, 0.0) - dp(v)) < 1e-12,

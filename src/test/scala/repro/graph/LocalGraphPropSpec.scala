@@ -28,8 +28,9 @@ class LocalGraphPropSpec extends AnyFunSuite {
     Gen.choose(1, 100000).map { seed => val (n, es) = randomEdges(seed); LocalGraph.fromEdges(n, es) }
 
   /** A sparse nonnegative vector over `[0, n)`. */
-  private def sparse(n: Int): Gen[Map[Long, Double]] =
-    Gen.listOf(Gen.zip(Gen.choose(0, n - 1), Gen.choose(0.0, 1.0))).map(_.map { case (v, x) => v.toLong -> x }.toMap)
+  private def sparse(n: Int): Gen[NodeScores] =
+    Gen.listOf(Gen.zip(Gen.choose(0, n - 1), Gen.choose(0.0, 1.0)))
+      .map(es => NodeScores.from(es.map { case (v, x) => v.toLong -> x }.toMap))
 
   private def check(p: Prop): Unit = {
     val r = QC.check(QC.Parameters.default.withMinSuccessfulTests(200).withInitialSeed(Seed(7L)), p)
@@ -41,7 +42,7 @@ class LocalGraphPropSpec extends AnyFunSuite {
 
   test("push of a point mass along in-edges equals level 1 of the hitting DP") {
     check(Prop.forAll(graphs.flatMap(lg => Gen.choose(0, lg.n - 1).map(lg -> _))) { case (lg, u) =>
-      val got = lg.push(Map(u.toLong -> 1.0), c)
+      val got = lg.push(NodeScores.single(u, 1.0), c)
       val dp  = TestRefs.hittingDP(lg, u, c, 1)(1)
       got.keySet == (0 until lg.n).filter(dp(_) > 0).map(_.toLong).toSet &&
         (0 until lg.n).forall(v => math.abs(got.getOrElse(v.toLong, 0.0) - dp(v)) <= 1e-12)
@@ -57,8 +58,8 @@ class LocalGraphPropSpec extends AnyFunSuite {
   test("a frontier node with no in-neighbors contributes nothing to the in-edge push") {
     check(Prop.forAll(graphs.flatMap(lg => sparse(lg.n).map(lg -> _))) { case (lg, a) =>
       val (dead, live) = a.partition { case (v, _) => lg.inDeg(v.toInt) == 0 }
-      val all = lg.push(a, c); val liveOnly = lg.push(live, c)
-      dead.forall(kv => lg.push(Map(kv), c).isEmpty) && all.keySet == liveOnly.keySet &&
+      val all = lg.push(a, c); val liveOnly = lg.push(NodeScores.from(live), c)
+      dead.forall { case (v, x) => lg.push(NodeScores.single(v.toInt, x), c).isEmpty } && all.keySet == liveOnly.keySet &&
         all.forall { case (v, x) => math.abs(x - liveOnly(v)) <= 1e-12 }
     })
   }
@@ -70,7 +71,7 @@ class LocalGraphPropSpec extends AnyFunSuite {
         val got  = lg.push(a, c, transpose)
         val ref  = TestRefs.push(lg, a, c, transpose)
         val tol  = 1e-15 * a.valuesIterator.sum
-        got.isInstanceOf[NodeScores] && got.keySet == ref.keySet &&
+        got.keySet == ref.keySet &&
           got.keysIterator.toSeq == got.keysIterator.toSeq.sorted &&
           ref.forall { case (v, x) => math.abs(got(v) - x) <= tol }
       })
@@ -80,7 +81,7 @@ class LocalGraphPropSpec extends AnyFunSuite {
     check(Prop.forAll(graphs.flatMap(lg => Gen.zip(sparse(lg.n), sparse(lg.n)).map(ab => (lg, ab._1, ab._2)))) {
       case (lg, a, b) =>
         val pushed = lg.push(a, c, transpose = true)
-        val got    = lg.push(a, c, transpose = true, plus = NodeScores.from(b))
+        val got    = lg.push(a, c, transpose = true, plus = b)
         got.keySet == pushed.keySet ++ b.keySet &&
           got.forall { case (v, x) => x == pushed.getOrElse(v, 0.0) + b.getOrElse(v, 0.0) }
     })

@@ -64,7 +64,7 @@ class NodeScoresSpec extends AnyFunSuite {
 
   test("the accumulator sums per slot, keeps zero sums as keys, and clears") {
     val acc = new NodeScores.Accumulator(100)
-    acc.add(9, 0.5); acc.add(3, 0.0); acc.add(9, 0.25)
+    acc.add(9, 0.5); acc.add(3, 0.0); acc.add(9, 0.25) // few slots: the sort path
     assert(acc.result() == Map(3L -> 0.0, 9L -> 0.75))
     assert(acc.result().isEmpty)
     (0 until 100).reverse.foreach(v => acc.add(v, v.toDouble)) // many slots: the scan path
